@@ -8,7 +8,6 @@ saturation throughput over several pattern instances.
 from __future__ import annotations
 
 import dataclasses
-from contextlib import ExitStack
 from typing import Dict, List
 
 import numpy as np
@@ -18,13 +17,9 @@ from repro.errors import ConfigurationError
 from repro.experiments.base import ExperimentResult
 from repro.experiments.presets import netsim_preset
 from repro.netsim import PatternTraffic, saturation_throughput
-from repro.netsim.batchcore import (
-    BATCHABLE_MECHANISMS,
-    BatchLane,
-    BatchSimulator,
-)
-from repro.obs import log, metrics, topology_hash
-from repro.obs import timeseries as obs_timeseries
+from repro.netsim.batchcore import BATCHABLE_MECHANISMS
+from repro.netsim.parallel import run_batched_ladders
+from repro.obs import layers, log, metrics, topology_hash
 from repro.obs import trace as obs_trace
 from repro.topology import Jellyfish
 from repro.traffic import random_permutation, random_shift
@@ -43,11 +38,9 @@ def _cell_throughputs(
     """Per-pattern saturation throughput of one (scheme, mechanism) cell.
 
     With ``config.batch_lanes > 1`` the cell's patterns climb the rate
-    ladder in lock-step through the batched engine: at each rate the
-    patterns still below saturation run as lanes of one
-    :class:`~repro.netsim.batchcore.BatchSimulator`, drawing exactly one
-    ladder seed per executed rung as the serial sweep does, and each
-    pattern's telemetry is captured per lane and replayed in serial
+    ladder in lock-step through the batched engine
+    (:func:`~repro.netsim.parallel.run_batched_ladders`, the grid's own
+    rung stepper), and each pattern's telemetry is merged home in serial
     (pattern-major, rate-minor) order afterwards — so throughputs and
     run artifacts are byte-identical to the per-pattern serial sweeps.
     Mechanisms the batched engine cannot take (vanilla UGAL), and every
@@ -66,67 +59,16 @@ def _cell_throughputs(
             )[0]
             for pat, cell_seed in zip(patterns, cell_seeds)
         ]
-
-    obs_on = metrics.enabled()
-    ts_cfg = obs_timeseries.config()
-    # One ladder rng per pattern, seeded exactly as the serial sweep's
-    # ``ensure_rng(cell_seed)``; one run seed drawn per executed rung.
-    ladders = [np.random.default_rng(s) for s in cell_seeds]
-    traffics = [PatternTraffic(pat) for pat in patterns]
-    n = len(traffics)
-    m_snaps: List[list] = [[] for _ in range(n)]
-    ts_snaps: List[list] = [[] for _ in range(n)]
-    throughput = [0.0] * n
-    done = [False] * n
-
-    for rate in rates:
-        todo = [i for i in range(n) if not done[i]]
-        if not todo:
-            break
-        for s in range(0, len(todo), config.batch_lanes):
-            pack = todo[s : s + config.batch_lanes]
-            lanes = [
-                BatchLane(
-                    mechanism, traffics[i], float(rate),
-                    seed=np.random.default_rng(
-                        int(ladders[i].integers(2**63))
-                    ),
-                )
-                for i in pack
-            ]
-            batch = BatchSimulator(topo, cache, lanes, config)
-            results = batch.run(publish=False, observe=obs_on)
-            for j, i in enumerate(pack):
-                if obs_on or ts_cfg:
-                    with ExitStack() as stack:
-                        reg = (
-                            stack.enter_context(metrics.capture())
-                            if obs_on else None
-                        )
-                        tsr = (
-                            stack.enter_context(
-                                obs_timeseries.capture(**ts_cfg)
-                            )
-                            if ts_cfg else None
-                        )
-                        batch.publish_lane(j)
-                        if reg is not None:
-                            m_snaps[i].append(reg.snapshot())
-                        if tsr is not None:
-                            ts_snaps[i].append(tsr.snapshot())
-                if results[j].saturated:
-                    done[i] = True
-                else:
-                    throughput[i] = float(rate)
-
-    # Replay artifacts in the serial sweep's order: pattern-major, each
-    # pattern's rungs in ascending-rate order.
-    for i in range(n):
-        for snap in m_snaps[i]:
-            metrics.merge_snapshot(snap)
-        for snap in ts_snaps[i]:
-            obs_timeseries.merge_snapshot(snap)
-    return throughput
+    jobs = [
+        (cache, mechanism, PatternTraffic(pat), cell_seed)
+        for pat, cell_seed in zip(patterns, cell_seeds)
+    ]
+    results = run_batched_ladders(
+        topo, jobs, rates, config, layers.active_configs()
+    )
+    for _, snaps in results:
+        layers.merge(snaps)
+    return [th for th, _ in results]
 
 
 def run_fig(

@@ -23,6 +23,7 @@ from typing import Callable, Dict
 
 from repro.errors import ConfigurationError
 from repro.obs import flowstats as obs_flowstats
+from repro.obs import layers
 from repro.obs import linkstate as obs_linkstate
 from repro.obs import log as obs_log
 from repro.obs import metrics
@@ -392,11 +393,7 @@ def main(argv=None) -> int:
             if telemetry_dir is not None:
                 _emit_telemetry(name, args, wall, telemetry_dir, profiler)
     finally:
-        metrics.disable()
-        obs_trace.disable()
-        obs_timeseries.disable()
-        obs_linkstate.disable()
-        obs_flowstats.disable()
+        layers.disable_all()
         obs_monitor.disable()
         obs_log.close_jsonl()
     return 0

@@ -447,12 +447,6 @@ class BatchSimulator:
         # maximum (see Simulator.__init__) — order-independent, so the
         # vectorized grant pass needs no serial replay.
         lsr = obs_linkstate.active()
-        if lsr is None and config.linkstate:
-            raise ConfigurationError(
-                "SimConfig(linkstate=True) requires an active link-state "
-                "recorder: enable repro.obs.linkstate (or use its capture() "
-                "context) before building the batched engine"
-            )
         self._ls = lsr
         self._ls_start = 0
         self._ls_next = lsr.window if lsr is not None else 0
@@ -484,12 +478,6 @@ class BatchSimulator:
         # to the measured-latency samples, split per lane and replayed
         # into the recorder at publish time like the rows above.
         fsr = obs_flowstats.active()
-        if fsr is None and config.flowstats:
-            raise ConfigurationError(
-                "SimConfig(flowstats=True) requires an active flow-stats "
-                "recorder: enable repro.obs.flowstats (or use its capture() "
-                "context) before building the batched engine"
-            )
         self._fs_on = fsr is not None
         self._mlat_pair: List[int] = []
         if self._fs_on:

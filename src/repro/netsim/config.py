@@ -72,22 +72,6 @@ class SimConfig:
         per-run engine.  Lanes require the array-native core underneath,
         so ``batch_lanes > 1`` with ``engine="reference"`` is a
         configuration error rather than a silent per-cell fallback.
-    linkstate:
-        Declare that runs under this config must capture dense per-link
-        state (:mod:`repro.obs.linkstate`).  Capture itself is keyed off
-        the module recorder — any engine records windows whenever
-        ``repro.obs.linkstate`` is enabled, exactly like the metrics and
-        trace subsystems — but with ``linkstate=True`` a simulator built
-        *without* an active recorder raises
-        :class:`~repro.errors.ConfigurationError` instead of silently
-        dropping the forensic record the caller asked for.
-    flowstats:
-        Declare that runs under this config must capture per-(src,dst)
-        flow telemetry (:mod:`repro.obs.flowstats`).  Same contract as
-        ``linkstate``: capture is keyed off the module recorder, and
-        ``flowstats=True`` without an active recorder raises
-        :class:`~repro.errors.ConfigurationError` instead of silently
-        dropping the per-pair record the caller asked for.
     """
 
     channel_latency: int = 10
@@ -106,8 +90,6 @@ class SimConfig:
     max_warmup_cycles: int = 8_000
     engine: str = "fast"
     batch_lanes: int = 1
-    linkstate: bool = False
-    flowstats: bool = False
 
     def __post_init__(self):
         if self.engine not in ("fast", "reference"):

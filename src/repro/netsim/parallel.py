@@ -20,9 +20,8 @@ parallel:
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,18 +37,14 @@ from repro.netsim.batchcore import (
 from repro.netsim.config import SimConfig
 from repro.netsim.sweep import saturation_throughput
 from repro.netsim.simulator import PatternTraffic
-from repro.obs import flowstats as obs_flowstats
-from repro.obs import linkstate as obs_linkstate
-from repro.obs import metrics
+from repro.obs import layers
 from repro.obs import monitor as obs_monitor
-from repro.obs import timeseries as obs_timeseries
-from repro.obs import trace as obs_trace
 from repro.obs.progress import Progress
 from repro.topology.jellyfish import Jellyfish
 from repro.topology.serialization import topology_from_dict, topology_to_dict
 from repro.traffic.patterns import Pattern
 
-__all__ = ["GridCell", "run_saturation_grid"]
+__all__ = ["GridCell", "run_batched_ladders", "run_saturation_grid"]
 
 
 @dataclass(frozen=True)
@@ -63,32 +58,28 @@ class GridCell:
 
 
 # Per-worker state built once by the pool initializer: the rebuilt topology
-# and one warmed PathCache per scheme.  The flag records whether the parent
-# had telemetry enabled (and the parent's trace / time-series
-# configurations, if those recorders are on); cells then run under
-# captured registry/recorder instances and ship their snapshots home for
+# and one warmed PathCache per scheme, plus the parent's capture-layer
+# configurations (``repro.obs.layers.active_configs``); cells run under
+# fresh recorders built from them and ship their snapshots home for
 # merging.  ``_GRID_HB`` holds the live monitor's worker-side heartbeater
 # (fed by the parent's Manager queue, or its ``post`` callable inline).
 _GRID_STATE: List[Optional[Tuple[Jellyfish, Dict[str, PathCache]]]] = [None]
-_GRID_OBS: List[bool] = [False]
-_GRID_TRACE: List[Optional[dict]] = [None]
-_GRID_TS: List[Optional[dict]] = [None]
-_GRID_LS: List[Optional[dict]] = [None]
-# Flowstats config is an *empty* dict when enabled (the recorder takes no
-# parameters), so every check below is ``is None`` — never truthiness.
-_GRID_FS: List[Optional[dict]] = [None]
+_GRID_CFGS: List[Dict[str, dict]] = [{}]
 _GRID_HB: List[Optional[obs_monitor.Heartbeater]] = [None]
 
+#: One grid cell's result: the cell plus ``{layer: snapshot}`` of every
+#: capture layer on, or ``None`` when all are off.
+CellResult = Tuple[GridCell, Optional[Dict[str, dict]]]
 
-def _grid_init(topo_doc, k, cache_seed, states, obs_enabled=False,
-               trace_cfg=None, ts_cfg=None, ls_cfg=None, fs_cfg=None,
-               mon_sink=None) -> None:
+
+def _grid_init(
+    topo_doc, k, cache_seed, states, cfgs=None, mon_sink=None
+) -> None:
     """Pool initializer: rebuild the topology and warmed caches once.
 
-    ``states`` maps scheme -> one of a :class:`PathArena` (inline runs),
-    a shared-memory descriptor dict from ``PathArena.to_shm`` (pool
-    workers attach the parent's block zero-copy), or a legacy
-    ``{(s, d): PathSet}`` snapshot.
+    ``states`` maps scheme -> a :class:`PathArena` (inline runs) or a
+    shared-memory descriptor dict from ``PathArena.to_shm`` (pool workers
+    attach the parent's block zero-copy).
     """
     import os
 
@@ -98,17 +89,11 @@ def _grid_init(topo_doc, k, cache_seed, states, obs_enabled=False,
         cache = PathCache(topology, scheme, k=k, seed=cache_seed)
         if isinstance(state, PathArena):
             cache.attach_arena(state)
-        elif isinstance(state, dict) and "shm" in state:
-            cache.attach_arena(PathArena.from_shm(state))
         else:
-            cache.import_state(state)
+            cache.attach_arena(PathArena.from_shm(state))
         caches[scheme] = cache
     _GRID_STATE[0] = (topology, caches)
-    _GRID_OBS[0] = bool(obs_enabled)
-    _GRID_TRACE[0] = dict(trace_cfg) if trace_cfg else None
-    _GRID_TS[0] = dict(ts_cfg) if ts_cfg else None
-    _GRID_LS[0] = dict(ls_cfg) if ls_cfg else None
-    _GRID_FS[0] = dict(fs_cfg) if fs_cfg is not None else None
+    _GRID_CFGS[0] = dict(cfgs or {})
     _GRID_HB[0] = (
         obs_monitor.Heartbeater(mon_sink, worker=os.getpid())
         if mon_sink is not None else None
@@ -139,23 +124,15 @@ def _ship_states(caches: Dict[str, PathCache], processes: int):
     return states, shms
 
 
-def _run_cell(
-    args,
-) -> Tuple[
-    GridCell, Optional[dict], Optional[dict], Optional[dict],
-    Optional[dict], Optional[dict],
-]:
+def _run_cell(args) -> CellResult:
     """Worker: run one saturation sweep against the initializer's state.
 
-    Returns the cell plus a metrics snapshot of everything the sweep
-    recorded (simulator flit/stall counters, per-link flit arrays, cache
-    hit/miss counts), a flight-recorder snapshot, a time-series snapshot,
-    a link-state snapshot, and a flow-stats snapshot, each ``None`` when
-    the corresponding subsystem is off.  Metric snapshots merge
-    commutatively; trace, time-series, link-state and flow-stats
-    snapshots are merged by the parent in task order (``pool.map``
-    preserves it), so the parent's aggregates are identical for any
-    worker count.
+    The sweep runs under fresh recorders for every capture layer the
+    parent has on (metrics: simulator flit/stall counters, per-link flit
+    arrays, cache hit/miss counts; trace; time series; link state; flow
+    stats), whose snapshots come back with the cell.  The parent merges
+    them in task order (``pool.map`` preserves it), so its aggregates
+    are identical for any worker count.
     """
     (
         scheme, mechanism, pattern_index, pattern_flows, n_hosts,
@@ -163,145 +140,76 @@ def _run_cell(
     ) = args
     topology, caches = _GRID_STATE[0]
     pattern = Pattern("grid", n_hosts, pattern_flows)
-
-    def sweep():
+    hb = _GRID_HB[0]
+    if hb is not None:
+        hb.task(f"{scheme}/{mechanism} p{pattern_index}")
+    with layers.capture(_GRID_CFGS[0]) as recs:
+        if hb is not None and "timeseries" in recs:
+            recs["timeseries"].on_window = hb.window
         th, _ = saturation_throughput(
             topology, caches[scheme], mechanism, PatternTraffic(pattern),
             rates=rates, config=config, seed=np.random.SeedSequence(cell_seed),
         )
-        return th
-
-    trace_cfg = _GRID_TRACE[0]
-    ts_cfg = _GRID_TS[0]
-    ls_cfg = _GRID_LS[0]
-    fs_cfg = _GRID_FS[0]
-    hb = _GRID_HB[0]
-    if hb is not None:
-        hb.task(f"{scheme}/{mechanism} p{pattern_index}")
-    if (
-        not _GRID_OBS[0]
-        and trace_cfg is None
-        and ts_cfg is None
-        and ls_cfg is None
-        and fs_cfg is None
-    ):
-        cell = GridCell(scheme, mechanism, pattern_index, sweep())
-        if hb is not None:
-            hb.done()
-        return cell, None, None, None, None, None
-    with ExitStack() as stack:
-        reg = (
-            stack.enter_context(metrics.capture()) if _GRID_OBS[0] else None
-        )
-        rec = (
-            stack.enter_context(obs_trace.capture(**trace_cfg))
-            if trace_cfg else None
-        )
-        tsr = (
-            stack.enter_context(obs_timeseries.capture(**ts_cfg))
-            if ts_cfg else None
-        )
-        lsr = (
-            stack.enter_context(obs_linkstate.capture(**ls_cfg))
-            if ls_cfg else None
-        )
-        fsr = (
-            stack.enter_context(obs_flowstats.capture(**fs_cfg))
-            if fs_cfg is not None else None
-        )
-        if tsr is not None and hb is not None:
-            tsr.on_window = hb.window
-        th = sweep()
-        ts_snap = tsr.snapshot() if tsr is not None else None
-        ls_snap = lsr.snapshot() if lsr is not None else None
-        fs_snap = fsr.snapshot() if fsr is not None else None
     if hb is not None:
         hb.done()
-    return (
-        GridCell(scheme, mechanism, pattern_index, th),
-        reg.snapshot() if reg is not None else None,
-        rec.snapshot() if rec is not None else None,
-        ts_snap,
-        ls_snap,
-        fs_snap,
-    )
+    snaps = {name: rec.snapshot() for name, rec in recs.items()}
+    return GridCell(scheme, mechanism, pattern_index, th), snaps or None
 
 
-def _run_cell_batch(chunk):
-    """Worker: rung-step a chunk of grid cells through the batched engine.
+def run_batched_ladders(
+    topology: Jellyfish,
+    jobs: Sequence[Tuple[PathCache, str, object, object]],
+    rates: Sequence[float],
+    config: SimConfig,
+    cfgs: Mapping[str, dict],
+    hb: Optional[obs_monitor.Heartbeater] = None,
+) -> List[Tuple[float, Optional[Dict[str, dict]]]]:
+    """Saturation ladders of many runs, rung-stepped through the batched engine.
 
-    Cells advance one injection rate at a time.  At each rate, the cells
-    of the chunk still below saturation are grouped by (scheme, VC
-    count) — lanes of one batch must share a buffer layout — and packed
-    into batches of at most ``config.batch_lanes`` lanes; each batch is
-    one lock-step :class:`~repro.netsim.batchcore.BatchSimulator` run.
-    Per-cell ladder RNGs draw exactly one run seed per executed rung, as
-    the serial sweep does, and each lane's telemetry is replayed under a
-    per-cell capture afterwards, so every cell's throughput and
-    artifacts are byte-identical to its per-cell fast-engine run
-    whatever the lane packing.  Cells the batched engine cannot take
-    (vanilla UGAL; every cell while the flight recorder is on) fall back
-    to :func:`_run_cell` unchanged.
+    ``jobs`` holds one ``(cache, mechanism, traffic, ladder seed)`` per
+    saturation sweep, every mechanism batchable and the flight recorder
+    off.  The ladders advance one injection rate at a time: at each rate
+    the jobs still below saturation are grouped by (scheme, VC count) —
+    lanes of one batch must share a buffer layout — and packed into
+    batches of at most ``config.batch_lanes`` lanes, each one lock-step
+    :class:`~repro.netsim.batchcore.BatchSimulator` run.  Every ladder
+    draws exactly one run seed per executed rung from
+    ``default_rng(seed)``, as the serial sweep does, and stops after its
+    first saturated rung.
 
-    Returns one ``_run_cell``-shaped result tuple per cell, in chunk
-    order.
+    Each lane's telemetry is published under fresh recorders for the
+    capture layers in ``cfgs`` and the rungs are merged per job in rate
+    order, so each job's throughput and ``{layer: snapshot}`` are
+    byte-identical to its serial ``saturation_throughput`` run whatever
+    the lane packing.  Returns ``(throughput, snapshots or None)`` per
+    job, in job order.
     """
-    topology, caches = _GRID_STATE[0]
-    obs_on = _GRID_OBS[0]
-    ts_cfg = _GRID_TS[0]
-    ls_cfg = _GRID_LS[0]
-    fs_cfg = _GRID_FS[0]
-    hb = _GRID_HB[0]
-    config: SimConfig = chunk[0][6]
-    rates = chunk[0][5]
-
-    out: List[Optional[tuple]] = [None] * len(chunk)
-    batchable: List[int] = []
-    for i, task in enumerate(chunk):
-        if _GRID_TRACE[0] is None and task[1] in BATCHABLE_MECHANISMS:
-            batchable.append(i)
-        else:
-            out[i] = _run_cell(task)
-    if not batchable:
-        return out
-
-    # Per-cell ladder state, mirroring saturation_throughput(): a ladder
-    # rng seeded from (master seed, cell index), ascending rates, stop
-    # after the first saturated rung, throughput = last rate before it.
-    ladders = {}
-    traffics = {}
-    group_of = {}
-    for i in batchable:
-        _scheme, mech, _pi, flows, n_hosts, _rates, cfg, cell_seed = chunk[i]
-        ladders[i] = np.random.default_rng(np.random.SeedSequence(cell_seed))
-        traffics[i] = PatternTraffic(Pattern("grid", n_hosts, flows))
-        group_of[i] = (_scheme, lane_vc_count(topology, caches[_scheme], mech, cfg))
-    m_snaps = {i: [] for i in batchable}
-    ts_snaps = {i: [] for i in batchable}
-    ls_snaps = {i: [] for i in batchable}
-    fs_snaps = {i: [] for i in batchable}
-    throughput = {i: 0.0 for i in batchable}
-    done = {i: False for i in batchable}
+    ladders = [np.random.default_rng(job[3]) for job in jobs]
+    group_of = [
+        (cache.selector.name, lane_vc_count(topology, cache, mech, config))
+        for cache, mech, _traffic, _seed in jobs
+    ]
+    rungs: List[List[dict]] = [[] for _ in jobs]
+    throughput = [0.0] * len(jobs)
+    done = [False] * len(jobs)
 
     for rate in rates:
         groups: Dict[tuple, List[int]] = {}
-        for i in batchable:
+        for i in range(len(jobs)):
             if not done[i]:
                 groups.setdefault(group_of[i], []).append(i)
         if not groups:
             break
         for key in sorted(groups):
-            scheme = key[0]
             members = groups[key]
+            cache = jobs[members[0]][0]
             for s in range(0, len(members), config.batch_lanes):
                 pack = members[s : s + config.batch_lanes]
                 # The serial sweep draws one seed per executed rung from
-                # the cell's ladder rng; replicate the draw exactly.
+                # the ladder rng; replicate the draw exactly.
                 lanes = [
                     BatchLane(
-                        chunk[i][1],
-                        traffics[i],
-                        float(rate),
+                        jobs[i][1], jobs[i][2], float(rate),
                         seed=np.random.default_rng(
                             int(ladders[i].integers(2**63))
                         ),
@@ -309,43 +217,16 @@ def _run_cell_batch(chunk):
                     for i in pack
                 ]
                 if hb is not None:
-                    hb.task(f"{scheme} rate={rate} x{len(lanes)} lanes")
-                batch = BatchSimulator(topology, caches[scheme], lanes, config)
-                results = batch.run(publish=False, observe=obs_on)
+                    hb.task(f"{key[0]} rate={rate} x{len(lanes)} lanes")
+                batch = BatchSimulator(topology, cache, lanes, config)
+                results = batch.run(publish=False, observe="metrics" in cfgs)
                 for j, i in enumerate(pack):
-                    if obs_on or ts_cfg or ls_cfg or fs_cfg is not None:
-                        with ExitStack() as stack:
-                            reg = (
-                                stack.enter_context(metrics.capture())
-                                if obs_on else None
-                            )
-                            tsr = (
-                                stack.enter_context(
-                                    obs_timeseries.capture(**ts_cfg)
-                                )
-                                if ts_cfg else None
-                            )
-                            lsr = (
-                                stack.enter_context(
-                                    obs_linkstate.capture(**ls_cfg)
-                                )
-                                if ls_cfg else None
-                            )
-                            fsr = (
-                                stack.enter_context(
-                                    obs_flowstats.capture(**fs_cfg)
-                                )
-                                if fs_cfg is not None else None
-                            )
+                    if cfgs:
+                        with layers.capture(cfgs) as recs:
                             batch.publish_lane(j)
-                            if reg is not None:
-                                m_snaps[i].append(reg.snapshot())
-                            if tsr is not None:
-                                ts_snaps[i].append(tsr.snapshot())
-                            if lsr is not None:
-                                ls_snaps[i].append(lsr.snapshot())
-                            if fsr is not None:
-                                fs_snaps[i].append(fsr.snapshot())
+                        rungs[i].append(
+                            {name: rec.snapshot() for name, rec in recs.items()}
+                        )
                     if results[j].saturated:
                         done[i] = True
                     else:
@@ -353,40 +234,49 @@ def _run_cell_batch(chunk):
                 if hb is not None:
                     hb.done()
 
-    for i in batchable:
-        scheme, mech, pattern_index = chunk[i][0], chunk[i][1], chunk[i][2]
-        snap = None
-        if m_snaps[i]:
-            reg = metrics.MetricsRegistry()
-            for s in m_snaps[i]:
-                reg.merge(s)
-            snap = reg.snapshot()
-        ts_snap = None
-        if ts_snaps[i]:
-            tsr = obs_timeseries.TimeseriesRecorder(**ts_cfg)
-            for s in ts_snaps[i]:  # rate order = the serial run order
-                tsr.merge(s)
-            ts_snap = tsr.snapshot()
-        ls_snap = None
-        if ls_snaps[i]:
-            lsr = obs_linkstate.LinkstateRecorder(**ls_cfg)
-            for s in ls_snaps[i]:  # rate order = the serial run order
-                lsr.merge(s)
-            ls_snap = lsr.snapshot()
-        fs_snap = None
-        if fs_snaps[i]:
-            fsr = obs_flowstats.FlowstatsRecorder(**fs_cfg)
-            for s in fs_snaps[i]:  # rate order = the serial run order
-                fsr.merge(s)
-            fs_snap = fsr.snapshot()
-        out[i] = (
-            GridCell(scheme, mech, pattern_index, throughput[i]),
-            snap,
-            None,
-            ts_snap,
-            ls_snap,
-            fs_snap,
+    out = []
+    for i in range(len(jobs)):
+        snaps = None
+        if rungs[i]:
+            with layers.capture(cfgs) as recs:
+                for rung in rungs[i]:  # rate order = the serial run order
+                    layers.merge(rung)
+            snaps = {name: rec.snapshot() for name, rec in recs.items()}
+        out.append((throughput[i], snaps))
+    return out
+
+
+def _run_cell_batch(chunk) -> List[CellResult]:
+    """Worker: rung-step a chunk of grid cells through the batched engine.
+
+    Batchable cells go through :func:`run_batched_ladders` together;
+    cells the batched engine cannot take (vanilla UGAL; every cell while
+    the flight recorder is on) fall back to :func:`_run_cell` unchanged.
+    Returns one ``_run_cell``-shaped result per cell, in chunk order.
+    """
+    topology, caches = _GRID_STATE[0]
+    cfgs = _GRID_CFGS[0]
+    out: List[Optional[CellResult]] = [None] * len(chunk)
+    batchable: List[int] = []
+    jobs = []
+    for i, task in enumerate(chunk):
+        scheme, mechanism, _, flows, n_hosts, _, _, cell_seed = task
+        if "trace" in cfgs or mechanism not in BATCHABLE_MECHANISMS:
+            out[i] = _run_cell(task)
+            continue
+        batchable.append(i)
+        jobs.append((
+            caches[scheme], mechanism,
+            PatternTraffic(Pattern("grid", n_hosts, flows)),
+            np.random.SeedSequence(cell_seed),
+        ))
+    if jobs:
+        results = run_batched_ladders(
+            topology, jobs, chunk[0][5], chunk[0][6], cfgs, _GRID_HB[0]
         )
+        for i, (th, snaps) in zip(batchable, results):
+            scheme, mechanism, pattern_index = chunk[i][:3]
+            out[i] = (GridCell(scheme, mechanism, pattern_index, th), snaps)
     return out
 
 
@@ -460,21 +350,13 @@ def run_saturation_grid(
     sink = None
     if mon is not None:
         sink = mon.post if processes == 1 else mon.queue()
-    initargs = (
-        topo_doc, k, seed, states, metrics.enabled(), obs_trace.config(),
-        obs_timeseries.config(), obs_linkstate.config(),
-        obs_flowstats.config(), sink,
-    )
+    initargs = (topo_doc, k, seed, states, layers.active_configs(), sink)
     cells: List[GridCell] = []
 
-    def _collect(cell_result):
-        cell, snap, tsnap, ts_snap, ls_snap, fs_snap = cell_result
+    def _collect(cell_result: CellResult):
+        cell, snaps = cell_result
         cells.append(cell)
-        metrics.merge_snapshot(snap)
-        obs_trace.merge_snapshot(tsnap)
-        obs_timeseries.merge_snapshot(ts_snap)
-        obs_linkstate.merge_snapshot(ls_snap)
-        obs_flowstats.merge_snapshot(fs_snap)
+        layers.merge(snaps)
         progress.step()
         if mon is not None:
             mon.step()
@@ -495,11 +377,7 @@ def run_saturation_grid(
                         _collect(_run_cell(t))
             finally:
                 _GRID_STATE[0] = None
-                _GRID_OBS[0] = False
-                _GRID_TRACE[0] = None
-                _GRID_TS[0] = None
-                _GRID_LS[0] = None
-                _GRID_FS[0] = None
+                _GRID_CFGS[0] = {}
                 _GRID_HB[0] = None
         else:
             with ProcessPoolExecutor(

@@ -350,12 +350,6 @@ class Simulator:
         # discipline).  Tallies are plain lists on the hot path — one
         # indexed add per forward/stall — copied out at window edges.
         ls = obs_linkstate.active()
-        if ls is None and config.linkstate:
-            raise ConfigurationError(
-                "SimConfig(linkstate=True) requires an active link-state "
-                "recorder: enable repro.obs.linkstate (or use its capture() "
-                "context) before building the simulator"
-            )
         self._ls = ls
         self._ls_run = -1
         self._ls_start = 0
@@ -389,12 +383,6 @@ class Simulator:
         # pair id next to its latency; the per-pair tally happens once at
         # the end of run() from the two aligned lists.
         fs = obs_flowstats.active()
-        if fs is None and config.flowstats:
-            raise ConfigurationError(
-                "SimConfig(flowstats=True) requires an active flow-stats "
-                "recorder: enable repro.obs.flowstats (or use its capture() "
-                "context) before building the simulator"
-            )
         self._fs = fs
         self._fs_run = -1
         self._fs_nh = topology.n_hosts

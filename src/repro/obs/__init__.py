@@ -29,6 +29,11 @@
 - :mod:`repro.obs.fairness` — flow-level SLO analysis over that record:
   Jain's fairness index, per-pair percentile digests, victim-pair
   detection with link-state attribution, and the ``flows`` CLI;
+- :mod:`repro.obs.recorder` / :mod:`repro.obs.layers` — the one
+  lifecycle that ``trace`` / ``timeseries`` / ``linkstate`` /
+  ``flowstats`` share (enable / capture / snapshot / merge / ``.npz``
+  save and load) and the ordered registry that drives them and the
+  metrics registry at once;
 - :mod:`repro.obs.monitor` — live run monitor: worker heartbeats over a
   multiprocessing queue, in-place ANSI dashboard, stale-worker watchdog;
 - :mod:`repro.obs.log` — structured events (stderr + JSONL + handlers);

@@ -550,7 +550,11 @@ def main(argv=None) -> int:
 
     docs = []
     for path in files:
-        snap = load_flowstats(path)
+        try:
+            snap = load_flowstats(path)
+        except ConfigurationError as exc:
+            print(f"flows: {exc}")
+            return 2
         stem = path.name[: -len(".flowstats.npz")]
         ls = _sibling_linkstate(path, stem)
         print(

@@ -16,17 +16,13 @@ every ordered (source host, destination host) pair of a run it keeps
   (``(run, pair, bin, count)`` coordinate rows sorted by key), because
   the dense ``runs x pairs x bins`` cube is almost entirely zeros.
 
-The same three design rules as ``metrics``/``trace``/``linkstate``:
-
-- **Module state, NOOP off.**  One active recorder per process
-  (:func:`enable` / :func:`capture`); simulators read :func:`active`
-  once at construction and pay nothing when it is ``None``.
-- **Task-order merge.**  Worker snapshots merge with run-id offsets
-  (:meth:`FlowstatsRecorder.merge`), so a parallel or batched-lane
-  ``run_saturation_grid`` produces the byte-identical flow record of a
-  serial run under one recorder.
-- **``.npz`` persistence** next to the run manifest
-  (:func:`save_flowstats` / :func:`load_flowstats`).
+The module functions (:func:`enable` / :func:`capture` / ... /
+:func:`save_flowstats` / :func:`load_flowstats`) are the shared
+capture-layer lifecycle of :class:`repro.obs.recorder.Slot`: NOOP when
+off, task-order merge with run-id offsets
+(:meth:`FlowstatsRecorder.merge`) so a parallel or batched-lane
+``run_saturation_grid`` produces the byte-identical flow record of a
+serial run, and ``.npz`` persistence next to the run manifest.
 
 Engines do not tally anything themselves: they hand the recorder the raw
 measured ``(pair id, latency)`` streams once per run
@@ -40,13 +36,12 @@ over all ordered host pairs, with the endpoint tables (``pair_src`` /
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.recorder import Slot
 
 __all__ = [
     "FLOWSTATS_FORMAT",
@@ -343,110 +338,18 @@ class FlowstatsRecorder:
                 cols.append(vals[hist_run == r].copy())
 
 
-# ------------------------------------------------------- persistence
-def save_flowstats(path, snap: Optional[Mapping] = None):
-    """Write a snapshot as a compressed ``.npz``; returns the path.
-
-    With ``snap=None`` the active recorder's snapshot is written (a
-    no-op returning ``None`` when the recorder is disabled).
-    """
-    from pathlib import Path
-
-    if snap is None:
-        snap = snapshot()
-        if snap is None:
-            return None
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = dict(snap)
-    doc["runs"] = json.dumps(doc.get("runs", []))
-    np.savez_compressed(path, **doc)
-    return path
-
-
-def load_flowstats(path) -> dict:
-    """Load a :func:`save_flowstats` file back into snapshot form."""
-    with np.load(path, allow_pickle=False) as data:
-        snap = {}
-        for key in data.files:
-            arr = data[key]
-            snap[key] = arr.item() if arr.ndim == 0 else arr
-    snap["runs"] = json.loads(str(snap.get("runs", "[]")))
-    for key in ("n_hosts", "n_pairs", "n_bins", "n_runs"):
-        if key in snap:
-            snap[key] = int(snap[key])
-    snap["format"] = str(snap.get("format", ""))
-    if snap["format"] != FLOWSTATS_FORMAT:
-        raise ConfigurationError(
-            f"{path} is not a {FLOWSTATS_FORMAT} file "
-            f"(format={snap['format']!r})"
-        )
-    return snap
-
-
-# --------------------------------------------------------- module state
-#: The process's active recorder, or ``None`` when flow stats are off.
-#: The simulator reads this once at construction, exactly like
-#: ``metrics._active`` / ``linkstate._active``.
-_active: Optional[FlowstatsRecorder] = None
-
-
-def enable() -> FlowstatsRecorder:
-    """Install (and return) the process's active recorder."""
-    global _active
-    _active = FlowstatsRecorder()
-    return _active
-
-
-def disable() -> None:
-    """Turn the recorder off; simulators constructed after this pay nothing."""
-    global _active
-    _active = None
-
-
-def enabled() -> bool:
-    return _active is not None
-
-
-def active() -> Optional[FlowstatsRecorder]:
-    return _active
-
-
-def config() -> Optional[dict]:
-    """The active recorder's construction parameters (for pool workers).
-
-    The recorder has none, so this is ``{}`` when enabled and ``None``
-    when disabled — callers must test ``is not None``, not truthiness.
-    """
-    return None if _active is None else {}
-
-
-@contextmanager
-def capture(**kwargs) -> Iterator[FlowstatsRecorder]:
-    """Divert recording to a fresh recorder for the duration of the block.
-
-    Pool workers scope one task's flow stats with this (parameterised by
-    the parent's :func:`config`); the previous state is restored on exit.
-    """
-    global _active
-    prev = _active
-    fresh = FlowstatsRecorder(**kwargs)
-    _active = fresh
-    try:
-        yield fresh
-    finally:
-        _active = prev
-
-
-def snapshot() -> Optional[dict]:
-    """Snapshot of the active recorder, or ``None`` when disabled."""
-    rec = _active
-    return None if rec is None else rec.snapshot()
-
-
-def merge_snapshot(snap: Optional[Mapping]) -> None:
-    """Merge a worker snapshot into the active recorder (no-op if either
-    side is absent)."""
-    rec = _active
-    if rec is not None and snap is not None:
-        rec.merge(snap)
+# ----------------------------------------------- module state / persistence
+#: The process's active recorder (``None`` when flow stats are off) behind the
+#: shared capture-layer lifecycle of :class:`~repro.obs.recorder.Slot`.
+#: Simulators read :func:`active` once at construction.
+_slot = Slot(FlowstatsRecorder, FLOWSTATS_FORMAT, ())
+enable = _slot.enable
+disable = _slot.disable
+enabled = _slot.enabled
+active = _slot.active
+config = _slot.config
+capture = _slot.capture
+snapshot = _slot.snapshot
+merge_snapshot = _slot.merge_snapshot
+save_flowstats = _slot.save
+load_flowstats = _slot.load

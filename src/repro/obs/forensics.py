@@ -622,7 +622,11 @@ def main(argv=None) -> int:
 
     docs = []
     for path in files:
-        snap = load_linkstate(path)
+        try:
+            snap = load_linkstate(path)
+        except ConfigurationError as exc:
+            print(f"inspect: {exc}")
+            return 2
         stem = path.name[: -len(".linkstate.npz")]
         trace = _sibling(path, stem, ".trace.npz")
         ts = _sibling(path, stem, ".timeseries.npz")

@@ -18,17 +18,13 @@ window, three dense int64 matrices of shape ``(windows, n_links)``:
   reached during the window (carried over: a window opens at the
   occupancy the last one closed at).
 
-The same three design rules as ``metrics``/``trace``/``timeseries``:
-
-- **Module state, NOOP off.**  One active recorder per process
-  (:func:`enable` / :func:`capture`); simulators read :func:`active`
-  once at construction and pay nothing when it is ``None``.
-- **Task-order merge.**  Worker snapshots merge with run-id offsets
-  (:meth:`LinkstateRecorder.merge`), so a parallel or batched-lane
-  ``run_saturation_grid`` produces the byte-identical link state of a
-  serial run under one recorder.
-- **``.npz`` persistence** next to the run manifest
-  (:func:`save_linkstate` / :func:`load_linkstate`).
+The module functions (:func:`enable` / :func:`capture` / ... /
+:func:`save_linkstate` / :func:`load_linkstate`) are the shared
+capture-layer lifecycle of :class:`repro.obs.recorder.Slot`: NOOP when
+off, task-order merge with run-id offsets
+(:meth:`LinkstateRecorder.merge`) so a parallel or batched-lane
+``run_saturation_grid`` produces the byte-identical link state of a
+serial run, and ``.npz`` persistence next to the run manifest.
 
 The snapshot also carries the link endpoint tables (``link_src`` /
 ``link_dst``: switch ids, hosts encoded as ``-1 - host``), so the
@@ -38,13 +34,12 @@ upstream through the topology without re-loading it.
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.recorder import Slot
 
 __all__ = [
     "LINKSTATE_FORMAT",
@@ -305,108 +300,18 @@ class LinkstateRecorder:
         self.n_windows += n
 
 
-# ------------------------------------------------------- persistence
-def save_linkstate(path, snap: Optional[Mapping] = None):
-    """Write a snapshot as a compressed ``.npz``; returns the path.
-
-    With ``snap=None`` the active recorder's snapshot is written (a
-    no-op returning ``None`` when the recorder is disabled).
-    """
-    from pathlib import Path
-
-    if snap is None:
-        snap = snapshot()
-        if snap is None:
-            return None
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = dict(snap)
-    doc["runs"] = json.dumps(doc.get("runs", []))
-    np.savez_compressed(path, **doc)
-    return path
-
-
-def load_linkstate(path) -> dict:
-    """Load a :func:`save_linkstate` file back into snapshot form."""
-    with np.load(path, allow_pickle=False) as data:
-        snap = {}
-        for key in data.files:
-            arr = data[key]
-            snap[key] = arr.item() if arr.ndim == 0 else arr
-    snap["runs"] = json.loads(str(snap.get("runs", "[]")))
-    for key in ("window", "n_links", "n_runs", "n_windows"):
-        if key in snap:
-            snap[key] = int(snap[key])
-    snap["format"] = str(snap.get("format", ""))
-    if snap["format"] != LINKSTATE_FORMAT:
-        raise ConfigurationError(
-            f"{path} is not a {LINKSTATE_FORMAT} file (format={snap['format']!r})"
-        )
-    return snap
-
-
-# --------------------------------------------------------- module state
-#: The process's active recorder, or ``None`` when link state is off.
-#: The simulator reads this once at construction, exactly like
-#: ``metrics._active`` / ``timeseries._active``.
-_active: Optional[LinkstateRecorder] = None
-
-
-def enable(window: int = 100, capacity: int = 256) -> LinkstateRecorder:
-    """Install (and return) the process's active recorder."""
-    global _active
-    _active = LinkstateRecorder(window=window, capacity=capacity)
-    return _active
-
-
-def disable() -> None:
-    """Turn the recorder off; simulators constructed after this pay nothing."""
-    global _active
-    _active = None
-
-
-def enabled() -> bool:
-    return _active is not None
-
-
-def active() -> Optional[LinkstateRecorder]:
-    return _active
-
-
-def config() -> Optional[dict]:
-    """The active recorder's construction parameters (for pool workers)."""
-    rec = _active
-    if rec is None:
-        return None
-    return {"window": rec.window}
-
-
-@contextmanager
-def capture(**kwargs) -> Iterator[LinkstateRecorder]:
-    """Divert recording to a fresh recorder for the duration of the block.
-
-    Pool workers scope one task's link state with this (parameterised by
-    the parent's :func:`config`); the previous state is restored on exit.
-    """
-    global _active
-    prev = _active
-    fresh = LinkstateRecorder(**kwargs)
-    _active = fresh
-    try:
-        yield fresh
-    finally:
-        _active = prev
-
-
-def snapshot() -> Optional[dict]:
-    """Snapshot of the active recorder, or ``None`` when disabled."""
-    rec = _active
-    return None if rec is None else rec.snapshot()
-
-
-def merge_snapshot(snap: Optional[Mapping]) -> None:
-    """Merge a worker snapshot into the active recorder (no-op if either
-    side is absent)."""
-    rec = _active
-    if rec is not None and snap is not None:
-        rec.merge(snap)
+# ----------------------------------------------- module state / persistence
+#: The process's active recorder (``None`` when link state is off) behind the
+#: shared capture-layer lifecycle of :class:`~repro.obs.recorder.Slot`.
+#: Simulators read :func:`active` once at construction.
+_slot = Slot(LinkstateRecorder, LINKSTATE_FORMAT, ("window",))
+enable = _slot.enable
+disable = _slot.disable
+enabled = _slot.enabled
+active = _slot.active
+config = _slot.config
+capture = _slot.capture
+snapshot = _slot.snapshot
+merge_snapshot = _slot.merge_snapshot
+save_linkstate = _slot.save
+load_linkstate = _slot.load

@@ -57,6 +57,7 @@ __all__ = [
     "disable",
     "enabled",
     "active",
+    "config",
     "capture",
     "counter",
     "gauge",
@@ -348,6 +349,11 @@ def enabled() -> bool:
 
 def active() -> Optional[MetricsRegistry]:
     return _active
+
+
+def config() -> Optional[dict]:
+    """``{}`` when enabled (a registry has no parameters), else ``None``."""
+    return None if _active is None else {}
 
 
 @contextmanager

@@ -9,18 +9,14 @@ window's ejections, credit stalls, flits forwarded, total VC-buffer
 occupancy, and the ``top_links`` hottest links of the window — into
 preallocated columnar numpy buffers.
 
-Three design rules carried over from ``metrics``/``trace``:
-
-- **Module state, NOOP off.**  One active recorder per process
-  (:func:`enable` / :func:`capture`); with the recorder off the
-  simulator pays one ``is None`` test at construction plus one cheap
-  boolean test per phase call — nothing per cycle.
-- **Task-order merge.**  Worker snapshots merge with run-id offsets
-  (:meth:`TimeseriesRecorder.merge`), so a parallel
-  ``run_saturation_grid`` produces the byte-identical time series of a
-  serial run under one recorder.
-- **``.npz`` persistence** next to the run manifest
-  (:func:`save_timeseries` / :func:`load_timeseries`).
+The module functions (:func:`enable` / :func:`capture` / ... /
+:func:`save_timeseries` / :func:`load_timeseries`) are the shared
+capture-layer lifecycle of :class:`repro.obs.recorder.Slot`.  With the
+recorder off the simulator pays one ``is None`` test at construction
+plus one cheap boolean test per phase call — nothing per cycle; worker
+snapshots merge with run-id offsets (:meth:`TimeseriesRecorder.merge`),
+so a parallel ``run_saturation_grid`` produces the byte-identical time
+series of a serial run.
 
 On top of the raw series sit the steady-state tools:
 :func:`spans_converged` is the moving-window convergence test the
@@ -32,14 +28,13 @@ actually sufficient (the number the manifest carries).
 
 from __future__ import annotations
 
-import json
 import math
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.recorder import Slot
 
 __all__ = [
     "TIMESERIES_FORMAT",
@@ -382,112 +377,18 @@ def steady_state_report(
     }
 
 
-# ------------------------------------------------------- persistence
-def save_timeseries(path, snap: Optional[Mapping] = None):
-    """Write a snapshot as a compressed ``.npz``; returns the path.
-
-    With ``snap=None`` the active recorder's snapshot is written (a
-    no-op returning ``None`` when the recorder is disabled).
-    """
-    from pathlib import Path
-
-    if snap is None:
-        snap = snapshot()
-        if snap is None:
-            return None
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = dict(snap)
-    doc["runs"] = json.dumps(doc.get("runs", []))
-    np.savez_compressed(path, **doc)
-    return path
-
-
-def load_timeseries(path) -> dict:
-    """Load a :func:`save_timeseries` file back into snapshot form."""
-    with np.load(path, allow_pickle=False) as data:
-        snap = {}
-        for key in data.files:
-            arr = data[key]
-            snap[key] = arr.item() if arr.ndim == 0 else arr
-    snap["runs"] = json.loads(str(snap.get("runs", "[]")))
-    for key in ("window", "top_links", "n_runs", "n_windows"):
-        if key in snap:
-            snap[key] = int(snap[key])
-    snap["format"] = str(snap.get("format", ""))
-    if snap["format"] != TIMESERIES_FORMAT:
-        raise ConfigurationError(
-            f"{path} is not a {TIMESERIES_FORMAT} file (format={snap['format']!r})"
-        )
-    return snap
-
-
-# --------------------------------------------------------- module state
-#: The process's active recorder, or ``None`` when time series are off.
-#: The simulator reads this once at construction, exactly like
-#: ``metrics._active`` / ``trace._active``.
-_active: Optional[TimeseriesRecorder] = None
-
-
-def enable(
-    window: int = 100, capacity: int = 1024, top_links: int = 4
-) -> TimeseriesRecorder:
-    """Install (and return) the process's active recorder."""
-    global _active
-    _active = TimeseriesRecorder(
-        window=window, capacity=capacity, top_links=top_links
-    )
-    return _active
-
-
-def disable() -> None:
-    """Turn the recorder off; simulators constructed after this pay nothing."""
-    global _active
-    _active = None
-
-
-def enabled() -> bool:
-    return _active is not None
-
-
-def active() -> Optional[TimeseriesRecorder]:
-    return _active
-
-
-def config() -> Optional[dict]:
-    """The active recorder's construction parameters (for pool workers)."""
-    rec = _active
-    if rec is None:
-        return None
-    return {"window": rec.window, "top_links": rec.top_links}
-
-
-@contextmanager
-def capture(**kwargs) -> Iterator[TimeseriesRecorder]:
-    """Divert recording to a fresh recorder for the duration of the block.
-
-    Pool workers scope one task's series with this (parameterised by the
-    parent's :func:`config`); the previous state is restored on exit.
-    """
-    global _active
-    prev = _active
-    fresh = TimeseriesRecorder(**kwargs)
-    _active = fresh
-    try:
-        yield fresh
-    finally:
-        _active = prev
-
-
-def snapshot() -> Optional[dict]:
-    """Snapshot of the active recorder, or ``None`` when disabled."""
-    rec = _active
-    return None if rec is None else rec.snapshot()
-
-
-def merge_snapshot(snap: Optional[Mapping]) -> None:
-    """Merge a worker snapshot into the active recorder (no-op if either
-    side is absent)."""
-    rec = _active
-    if rec is not None and snap is not None:
-        rec.merge(snap)
+# ----------------------------------------------- module state / persistence
+#: The process's active recorder (``None`` when time series are off) behind the
+#: shared capture-layer lifecycle of :class:`~repro.obs.recorder.Slot`.
+#: Simulators read :func:`active` once at construction.
+_slot = Slot(TimeseriesRecorder, TIMESERIES_FORMAT, ("window", "top_links"))
+enable = _slot.enable
+disable = _slot.disable
+enabled = _slot.enabled
+active = _slot.active
+config = _slot.config
+capture = _slot.capture
+snapshot = _slot.snapshot
+merge_snapshot = _slot.merge_snapshot
+save_timeseries = _slot.save
+load_timeseries = _slot.load

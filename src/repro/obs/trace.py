@@ -11,15 +11,13 @@ sampled subset of packets:
   packet *event* (inject, VC alloc, hop enqueue, hop depart, credit
   stall, eject).  Head-based sampling traces every ``sample``-th injected
   packet; ring semantics bound memory whatever the run length.
-- **Module state** mirroring :mod:`repro.obs.metrics`: one active
-  recorder per process (:func:`enable` / :func:`capture`), hot paths pay
-  a single ``is None`` test when tracing is off, and worker snapshots
-  merge deterministically (:func:`merge_snapshot`) — merged in task
-  order, a parallel grid produces the byte-identical trace of a serial
-  run.
-- **Persistence** — :func:`save_trace` / :func:`load_trace` round-trip a
-  snapshot through a compressed ``.npz`` written next to the run
-  manifest.
+- **Module state and persistence** — the shared capture-layer lifecycle
+  of :class:`repro.obs.recorder.Slot`: one active recorder per process
+  (:func:`enable` / :func:`capture`), hot paths pay a single ``is None``
+  test when tracing is off, worker snapshots merge in task order
+  (:func:`merge_snapshot`) into the byte-identical trace of a serial
+  run, and :func:`save_trace` / :func:`load_trace` round-trip a
+  snapshot through a compressed ``.npz`` next to the run manifest.
 - **TraceAnalysis** — the reader: per-packet latency decomposition
   (source queueing vs. switch queueing vs. serialization), per-hop stall
   attribution, per-path-index load share, and a route-membership audit
@@ -30,13 +28,12 @@ sampled subset of packets:
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.recorder import Slot
 
 __all__ = [
     "TRACE_FORMAT",
@@ -138,6 +135,11 @@ class TraceRecorder:
         }
         # uid -> ring row of packets still awaiting route/delivery updates.
         self._open: Dict[int, int] = {}
+
+    @property
+    def route_width(self) -> int:
+        """Current column count of the intended-route matrix."""
+        return self._route.shape[1]
 
     # --------------------------------------------------------- recording
     def begin_run(self, **meta) -> int:
@@ -334,133 +336,23 @@ class TraceRecorder:
             )
 
 
-# ------------------------------------------------------- persistence
-def save_trace(path, snap: Optional[Mapping] = None):
-    """Write a trace snapshot as a compressed ``.npz``; returns the path.
-
-    With ``snap=None`` the active recorder's snapshot is written (a no-op
-    returning ``None`` when tracing is disabled).
-    """
-    from pathlib import Path
-
-    if snap is None:
-        snap = snapshot()
-        if snap is None:
-            return None
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    doc = dict(snap)
-    doc["runs"] = json.dumps(doc.get("runs", []))
-    np.savez_compressed(path, **doc)
-    return path
-
-
-def load_trace(path) -> dict:
-    """Load a :func:`save_trace` file back into snapshot form."""
-    with np.load(path, allow_pickle=False) as data:
-        snap = {}
-        for key in data.files:
-            arr = data[key]
-            if arr.ndim == 0:
-                val = arr.item()
-                snap[key] = val
-            else:
-                snap[key] = arr
-    snap["runs"] = json.loads(str(snap.get("runs", "[]")))
-    for key in (
-        "sample", "event_capacity", "packet_capacity", "n_runs",
-        "n_injected", "n_packets", "n_events", "packets_dropped",
-        "events_dropped",
-    ):
-        if key in snap:
-            snap[key] = int(snap[key])
-    snap["format"] = str(snap.get("format", ""))
-    if snap["format"] != TRACE_FORMAT:
-        raise ConfigurationError(
-            f"{path} is not a {TRACE_FORMAT} trace (format={snap['format']!r})"
-        )
-    return snap
-
-
-# --------------------------------------------------------- module state
-#: The process's active recorder, or ``None`` when tracing is disabled.
-#: Hot paths read this attribute directly, exactly like ``metrics._active``.
-_active: Optional[TraceRecorder] = None
-
-
-def enable(
-    sample: int = 1,
-    event_capacity: int = 65536,
-    packet_capacity: int = 8192,
-    route_width: int = 8,
-) -> TraceRecorder:
-    """Install (and return) the process's active recorder."""
-    global _active
-    _active = TraceRecorder(
-        sample=sample,
-        event_capacity=event_capacity,
-        packet_capacity=packet_capacity,
-        route_width=route_width,
-    )
-    return _active
-
-
-def disable() -> None:
-    """Turn tracing off; the simulator pays one ``is None`` test again."""
-    global _active
-    _active = None
-
-
-def enabled() -> bool:
-    return _active is not None
-
-
-def active() -> Optional[TraceRecorder]:
-    return _active
-
-
-def config() -> Optional[dict]:
-    """The active recorder's construction parameters (for pool workers)."""
-    rec = _active
-    if rec is None:
-        return None
-    return {
-        "sample": rec.sample,
-        "event_capacity": rec.event_capacity,
-        "packet_capacity": rec.packet_capacity,
-        "route_width": rec._route.shape[1],
-    }
-
-
-@contextmanager
-def capture(**kwargs) -> Iterator[TraceRecorder]:
-    """Divert tracing to a fresh recorder for the duration of the block.
-
-    Pool workers scope one task's trace with this (parameterised by the
-    parent's :func:`config`); the previous state is restored on exit.
-    """
-    global _active
-    prev = _active
-    fresh = TraceRecorder(**kwargs)
-    _active = fresh
-    try:
-        yield fresh
-    finally:
-        _active = prev
-
-
-def snapshot() -> Optional[dict]:
-    """Snapshot of the active recorder, or ``None`` when disabled."""
-    rec = _active
-    return None if rec is None else rec.snapshot()
-
-
-def merge_snapshot(snap: Optional[Mapping]) -> None:
-    """Merge a worker snapshot into the active recorder (no-op if either
-    side is absent)."""
-    rec = _active
-    if rec is not None and snap is not None:
-        rec.merge(snap)
+# ----------------------------------------------- module state / persistence
+#: The process's active recorder (``None`` when tracing is off) behind the
+#: shared capture-layer lifecycle of :class:`~repro.obs.recorder.Slot`.
+#: Simulators read :func:`active` once at construction.
+_slot = Slot(TraceRecorder, TRACE_FORMAT, (
+    "sample", "event_capacity", "packet_capacity", "route_width",
+))
+enable = _slot.enable
+disable = _slot.disable
+enabled = _slot.enabled
+active = _slot.active
+config = _slot.config
+capture = _slot.capture
+snapshot = _slot.snapshot
+merge_snapshot = _slot.merge_snapshot
+save_trace = _slot.save
+load_trace = _slot.load
 
 
 # ------------------------------------------------------------ analysis

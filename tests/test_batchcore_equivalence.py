@@ -30,6 +30,7 @@ upload them for inspection.
 """
 
 import dataclasses
+import hashlib
 import os
 from pathlib import Path
 
@@ -38,11 +39,12 @@ import pytest
 
 from repro import Jellyfish, PathCache
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.figs_netsim import _cell_throughputs
 from repro.netsim import SimConfig, Simulator, UniformTraffic, PatternTraffic
 from repro.netsim.batchcore import BatchLane, BatchSimulator
 from repro.netsim.fastcore import FastSimulator
 from repro.netsim.parallel import run_saturation_grid
-from repro.obs import metrics, timeseries, trace
+from repro.obs import flowstats, layers, linkstate, metrics, timeseries, trace
 from repro.obs.trace import TraceAnalysis
 from repro.traffic import random_permutation
 
@@ -302,6 +304,55 @@ class TestTracedGridFallback:
             topo, ["redksp"], ["ksp_adaptive", "ksp_ugal"], pats, **kw
         )
         assert traced_grid == plain_grid
+
+
+class TestFigureCellLanes:
+    """``fig7``-``fig10 --batch-lanes N`` must write the serial artifacts.
+
+    A figure cell batches its patterns as lanes, so with two or more
+    patterns every capture layer must still record pattern-major,
+    rate-minor runs (the serial sweep order), not rate-major ones.
+    """
+
+    def _cell(self, batch_lanes, tmp_path):
+        topo = _topo()
+        patterns = [random_permutation(topo.n_hosts, seed=s) for s in (5, 6, 7)]
+        seeds = [
+            np.random.SeedSequence(entropy=7, spawn_key=(0, 0, i))
+            for i in range(len(patterns))
+        ]
+        metrics.enable()
+        timeseries.enable(window=30)
+        linkstate.enable(window=30)
+        flowstats.enable()
+        try:
+            throughputs = _cell_throughputs(
+                topo, PathCache(topo, "redksp", k=4, seed=1), "ksp_adaptive",
+                patterns, (0.3, 0.6, 0.9),
+                SimConfig(**CYCLES, batch_lanes=batch_lanes), seeds,
+            )
+            out = tmp_path / f"lanes{batch_lanes}"
+            saved = {
+                "timeseries": timeseries.save_timeseries(out / "c.ts.npz"),
+                "linkstate": linkstate.save_linkstate(out / "c.ls.npz"),
+                "flowstats": flowstats.save_flowstats(out / "c.fs.npz"),
+            }
+            n_runs = timeseries.snapshot()["n_runs"]
+        finally:
+            layers.disable_all()
+        digests = {
+            name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in saved.items()
+        }
+        return throughputs, n_runs, digests
+
+    def test_multi_pattern_cell_artifacts_identical(self, tmp_path):
+        serial = self._cell(1, tmp_path)
+        batched = self._cell(8, tmp_path)
+        assert serial[1] > len(serial[0])  # some pattern ran 2+ rungs
+        assert batched[0] == serial[0]
+        diverged = [n for n, d in serial[2].items() if batched[2][n] != d]
+        assert diverged == []
 
 
 class TestLaneMasking:

@@ -242,6 +242,12 @@ class TestFlowsCLI:
         assert "no *.flowstats.npz" in capsys.readouterr().out
         assert fairness.main([str(tmp_path / "absent")]) == 2
 
+    def test_exit_two_on_unreadable_artifact(self, tmp_path, capsys):
+        path = save_flowstats(tmp_path / "demo.flowstats.npz", _victim_snap())
+        path.write_bytes(path.read_bytes()[:100])
+        assert fairness.main([str(tmp_path)]) == 2
+        assert str(path) in capsys.readouterr().out
+
     def test_joins_sibling_linkstate(self, tmp_path, capsys):
         from repro.obs.linkstate import save_linkstate
 

@@ -19,10 +19,8 @@ from hypothesis import given, settings, strategies as st
 from repro import Jellyfish, PathCache
 from repro.errors import ConfigurationError
 from repro.netsim import SimConfig, Simulator, UniformTraffic
-from repro.netsim.batchcore import BatchLane, BatchSimulator
 from repro.netsim.fastcore import FastSimulator
 from repro.netsim.parallel import run_saturation_grid
-from repro.netsim.simulator import Simulator as ReferenceSimulator
 from repro.obs import flowstats
 from repro.obs.fairness import pair_stats
 from repro.obs.flowstats import (
@@ -284,35 +282,6 @@ class TestSimulatorIntegration:
             p50, p99 = np.percentile(lats, (50, 99))
             assert s["p50"] == pytest.approx(float(p50), abs=1e-9)
             assert s["p99"] == pytest.approx(float(p99), abs=1e-9)
-
-    def test_config_flag_requires_active_recorder(self, topo, cache):
-        cfg = SimConfig(
-            warmup_cycles=20, sample_cycles=20, n_samples=1, flowstats=True,
-        )
-        with pytest.raises(ConfigurationError, match="flow-stats recorder"):
-            _sim(topo, cache, cfg=cfg)
-        with pytest.raises(ConfigurationError, match="flow-stats recorder"):
-            BatchSimulator(
-                topo, cache,
-                [BatchLane("ksp_adaptive", UniformTraffic(topo.n_hosts), 0.2)],
-                SimConfig(
-                    warmup_cycles=20, sample_cycles=20, n_samples=1,
-                    batch_lanes=1, flowstats=True,
-                ),
-            )
-        with flowstats.capture():
-            _sim(topo, cache, cfg=cfg).run()  # recorder present: fine
-
-    def test_reference_engine_config_guard(self, topo, cache):
-        cfg = SimConfig(
-            warmup_cycles=20, sample_cycles=20, n_samples=1,
-            engine="reference", flowstats=True,
-        )
-        with pytest.raises(ConfigurationError, match="flow-stats recorder"):
-            ReferenceSimulator(
-                topo, cache, "ksp_adaptive", UniformTraffic(topo.n_hosts),
-                0.2, config=cfg, seed=np.random.SeedSequence(5),
-            )
 
 
 # ------------------------------------------------------- persistence

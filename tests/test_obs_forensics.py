@@ -340,6 +340,24 @@ def test_inspect_cli_exit_codes(tmp_path, capsys):
     assert "no *.linkstate.npz" in capsys.readouterr().out
 
 
+def test_inspect_cli_skips_unreadable_sibling(tmp_path, capsys):
+    from repro.obs.timeseries import TimeseriesRecorder, save_timeseries
+
+    snap = _bottleneck_snap([[40, 100, 0, 0, 200, 0, 0, 0]])
+    primary = save_linkstate(tmp_path / "x-small.linkstate.npz", snap)
+    sibling = save_timeseries(
+        tmp_path / "x-small.timeseries.npz",
+        TimeseriesRecorder(window=100).snapshot(),
+    )
+    sibling.write_bytes(sibling.read_bytes()[:100])  # truncated: optional
+    assert inspect_main([str(tmp_path)]) == 0
+    assert "congestion forensics [x-small]" in capsys.readouterr().out
+
+    primary.write_bytes(primary.read_bytes()[:100])  # truncated: required
+    assert inspect_main([str(tmp_path)]) == 2
+    assert str(primary) in capsys.readouterr().out
+
+
 def test_inspect_cli_reachable_through_runner(tmp_path, capsys):
     from repro.experiments.runner import main as runner_main
 

@@ -15,10 +15,8 @@ import pytest
 from repro import Jellyfish, PathCache
 from repro.errors import ConfigurationError
 from repro.netsim import SimConfig, Simulator, UniformTraffic
-from repro.netsim.batchcore import BatchLane, BatchSimulator
 from repro.netsim.fastcore import FastSimulator
 from repro.netsim.parallel import run_saturation_grid
-from repro.netsim.simulator import Simulator as ReferenceSimulator
 from repro.obs import linkstate
 from repro.obs.linkstate import (
     LINKSTATE_FORMAT,
@@ -270,35 +268,6 @@ class TestSimulatorIntegration:
         n_sw = topo.injection_link_base
         assert int(stalls[:n_sw].sum()) > 0
         assert int(stalls[n_sw : topo.ejection_link_base].sum()) > 0
-
-    def test_config_flag_requires_active_recorder(self, topo, cache):
-        cfg = SimConfig(
-            warmup_cycles=20, sample_cycles=20, n_samples=1, linkstate=True,
-        )
-        with pytest.raises(ConfigurationError, match="link-state recorder"):
-            _sim(topo, cache, cfg=cfg)
-        with pytest.raises(ConfigurationError, match="link-state recorder"):
-            BatchSimulator(
-                topo, cache,
-                [BatchLane("ksp_adaptive", UniformTraffic(topo.n_hosts), 0.2)],
-                SimConfig(
-                    warmup_cycles=20, sample_cycles=20, n_samples=1,
-                    batch_lanes=1, linkstate=True,
-                ),
-            )
-        with linkstate.capture(window=100):
-            _sim(topo, cache, cfg=cfg).run()  # recorder present: fine
-
-    def test_reference_engine_config_guard(self, topo, cache):
-        cfg = SimConfig(
-            warmup_cycles=20, sample_cycles=20, n_samples=1,
-            engine="reference", linkstate=True,
-        )
-        with pytest.raises(ConfigurationError, match="link-state recorder"):
-            ReferenceSimulator(
-                topo, cache, "ksp_adaptive", UniformTraffic(topo.n_hosts),
-                0.2, config=cfg, seed=np.random.SeedSequence(5),
-            )
 
 
 # ------------------------------------------------------- persistence

@@ -442,7 +442,8 @@ def test_parallel_grid_timeseries_byte_identical_to_serial(topo, tmp_path):
 
 
 def test_grid_without_timeseries_still_returns_four_none(topo):
-    # The no-telemetry fast path ships (cell, None, None, None, None, None).
+    # With every capture layer off a cell ships (cell, None): no snapshots.
+    from repro.core.arena import PathArena
     from repro.netsim import parallel
     from repro.topology.serialization import topology_to_dict
 
@@ -453,22 +454,17 @@ def test_grid_without_timeseries_still_returns_four_none(topo):
     })
     cache.precompute(pairs)
     parallel._grid_init(
-        topology_to_dict(topo), 2, 9, {"ksp": cache.export_state()},
+        topology_to_dict(topo), 2, 9, {"ksp": PathArena.from_cache(cache)},
     )
     try:
         cfg = SimConfig(warmup_cycles=20, sample_cycles=20, n_samples=1)
-        cell, m, t, ts, ls, fs = parallel._run_cell(
+        cell, snaps = parallel._run_cell(
             ("ksp", "random", 0, pattern.flows, pattern.n_hosts,
              (0.2,), cfg, (9, 0))
         )
-        assert m is None and t is None and ts is None and ls is None
-        assert fs is None
+        assert snaps is None
         assert cell.scheme == "ksp"
     finally:
         parallel._GRID_STATE[0] = None
-        parallel._GRID_OBS[0] = False
-        parallel._GRID_TRACE[0] = None
-        parallel._GRID_TS[0] = None
-        parallel._GRID_LS[0] = None
-        parallel._GRID_FS[0] = None
+        parallel._GRID_CFGS[0] = {}
         parallel._GRID_HB[0] = None
