@@ -370,21 +370,18 @@ def test_perf_simulator_cycles_flowstats(benchmark):
 
 
 # --------------------------------------------------------------------------
-# Path-table store: legacy gzip-JSON vs CSR arena, at production scale
+# Path-table store and worker shipping: CSR arena vs pickled tables
 # --------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def store_workload(tmp_path_factory):
-    """A 1024-switch Jellyfish with 5000 on-demand pairs, persisted twice.
+    """A 1024-switch Jellyfish with 5000 on-demand pairs, persisted once.
 
-    Large enough that the legacy store's per-path JSON parse dominates its
-    load, which is exactly the cost the arena's mmap load removes; the
-    same warmed table is saved once through each store so the two load
-    rows read identical content.
+    Large enough that rebuilding the table from Python objects dominates,
+    which is exactly the cost the arena's mmap load and shared-memory
+    attach remove.
     """
-    import pickle
-
-    from repro.core.store import ArenaStore, PathStore
+    from repro.core.store import ArenaStore
 
     topo = Jellyfish(1024, 10, 6, seed=7)
     rng = np.random.default_rng(1)
@@ -395,37 +392,20 @@ def store_workload(tmp_path_factory):
             pairs.add((s, d))
     cache = PathCache(topo, "sp", k=1, seed=3)
     cache.precompute(sorted(pairs))
-    legacy = PathStore(tmp_path_factory.mktemp("legacy-store"))
     arena = ArenaStore(tmp_path_factory.mktemp("arena-store"))
-    legacy.save(cache)
     arena.save(cache)
-    return topo, cache, legacy, arena
-
-
-def test_perf_store_load_legacy_json(benchmark, store_workload):
-    """Warm start through the legacy gzip-JSON store: parse every path.
-
-    The baseline row of the arena-store speedup gate: ``compare.py
-    --require-speedup`` divides this row's mean by the arena row's and
-    the CI perf-smoke job fails below 3x.
-    """
-    topo, _, legacy, _ = store_workload
-
-    def load():
-        fresh = PathCache(topo, "sp", k=1, seed=3)
-        return legacy.load(fresh)
-
-    assert benchmark(load) == 5000
+    return topo, cache, arena
 
 
 def test_perf_store_load_arena_mmap(benchmark, store_workload):
-    """The same warm start through the memory-mapped CSR arena store.
+    """A warm start through the memory-mapped CSR arena store.
 
     Loads attach the flat arrays without touching path bytes; PathSet
     views materialise lazily on first use, so a warm start costs file
-    metadata instead of a 5000-table JSON parse.
+    metadata instead of rebuilding 5000 tables.  Gated >= 4x over the
+    pickle row below by the CI perf-smoke job.
     """
-    topo, _, _, arena = store_workload
+    topo, _, arena = store_workload
 
     def load():
         fresh = PathCache(topo, "sp", k=1, seed=3)
@@ -440,11 +420,12 @@ def test_perf_ship_states_legacy_pickle(benchmark, store_workload):
 
     This is what every pool worker paid at initializer time (the payload
     also crossed the process pipe); the payload bytes land in
-    ``extra_info`` next to the descriptor row's.
+    ``extra_info`` next to the descriptor row's.  It is also the baseline
+    of both arena gates: store load (>= 4x) and shipping (>= 3x).
     """
     import pickle
 
-    topo, cache, _, _ = store_workload
+    topo, cache, _ = store_workload
     state = cache.export_state()
     benchmark.extra_info["payload_bytes"] = len(pickle.dumps(state))
 
@@ -468,7 +449,7 @@ def test_perf_ship_states_arena_shm(benchmark, store_workload):
 
     from repro.core.arena import PathArena
 
-    topo, cache, _, _ = store_workload
+    topo, cache, _ = store_workload
     shm, descriptor = PathArena.from_cache(cache).to_shm()
     benchmark.extra_info["payload_bytes"] = len(pickle.dumps(descriptor))
     try:

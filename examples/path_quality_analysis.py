@@ -20,7 +20,7 @@ Run with::
 import tempfile
 from pathlib import Path as FsPath
 
-from repro import Jellyfish, PathCache, PathStore
+from repro import ArenaStore, Jellyfish, PathCache
 from repro.core import k_shortest_paths, edge_disjoint_paths
 from repro.core.properties import path_quality_report
 from repro.utils.tables import format_table
@@ -59,7 +59,7 @@ def main() -> None:
     topo = Jellyfish(16, 12, 9, seed=5)
     # Persist warmed path tables next to the system temp dir; a second run
     # of this script loads them instead of re-running Yen's algorithm.
-    store = PathStore(FsPath(tempfile.gettempdir()) / "repro-example-paths")
+    store = ArenaStore(FsPath(tempfile.gettempdir()) / "repro-example-paths")
     print(f"k-sweep on {topo}: Tables II-IV metrics per scheme")
     print(f"(path tables persisted under {store.root})")
     rows = []

@@ -45,7 +45,6 @@ from repro.core import (
     PathArena,
     PathCache,
     ArenaStore,
-    PathStore,
     compute_paths,
     make_selector,
     k_shortest_paths,
@@ -77,7 +76,6 @@ __all__ = [
     "PathArena",
     "PathCache",
     "ArenaStore",
-    "PathStore",
     "compute_paths",
     "make_selector",
     "k_shortest_paths",

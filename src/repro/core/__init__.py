@@ -23,7 +23,7 @@ from repro.core.selectors import (
 )
 from repro.core.arena import PathArena
 from repro.core.cache import PathCache
-from repro.core.store import ArenaStore, PathStore, DEFAULT_STORE_DIR
+from repro.core.store import ArenaStore, DEFAULT_STORE_DIR
 from repro.core.ecmp import ecmp_paths
 from repro.core.failures import (
     failure_resilience,
@@ -60,7 +60,6 @@ __all__ = [
     "PathCache",
     "PathArena",
     "ArenaStore",
-    "PathStore",
     "DEFAULT_STORE_DIR",
     "ecmp_paths",
     "failure_resilience",

@@ -291,9 +291,8 @@ class PathArena:
 
         ``np.savez`` stamps zip members with the current time; this writer
         pins the timestamps and orders members, so the bytes are a pure
-        function of the content — same discipline as the legacy store's
-        ``mtime=0`` gzip.  Members are stored uncompressed so loads can
-        memory-map them in place.
+        function of the content.  Members are stored uncompressed so loads
+        can memory-map them in place.
         """
         arrays = {
             "format": np.array(ARENA_FORMAT),

@@ -14,7 +14,7 @@ That purity is what the fast-path pipeline exploits:
   initializer, not per task) and computes its shard with the same per-pair
   seeding, so the merged result is byte-identical to a serial warm;
 - :meth:`PathCache.warm` composes the whole pipeline: load persisted
-  tables from a :class:`~repro.core.store.PathStore`, compute whatever is
+  tables from an :class:`~repro.core.store.ArenaStore`, compute whatever is
   missing (optionally in parallel), and persist the union back.
 """
 
@@ -161,8 +161,7 @@ class PathCache:
         The VC-count derivations (``Simulator.__init__``, the batched
         engine's lane grouping, the KSP mechanisms' route-hop bound) all
         need the longest path *anywhere in the cache state* — an
-        arena-resident pair counts exactly as a dict-resident one did
-        when the legacy store loaded everything into the dict.
+        arena-resident pair counts exactly as a dict-resident one.
         """
         longest = 1
         for ps in self._store.values():
@@ -307,7 +306,7 @@ class PathCache:
     ) -> int:
         """The full path-table pipeline: load, compute missing, persist.
 
-        With ``store`` (a :class:`~repro.core.store.PathStore`), previously
+        With ``store`` (an :class:`~repro.core.store.ArenaStore`), previously
         persisted tables for this exact ``(topology, scheme, k, seed)`` are
         imported first — a warm run that finds everything on disk never
         touches Yen at all — and any newly computed pairs are saved back.

@@ -24,42 +24,20 @@ Robustness rules:
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import os
 from pathlib import Path as FsPath
-from typing import Dict, Optional, Tuple
 
 from repro.core.arena import ArenaFormatError, PathArena
-from repro.core.path import Path, PathSet
 from repro.obs import log, metrics
 from repro.topology.serialization import topology_to_dict
 
-__all__ = ["ArenaStore", "PathStore", "DEFAULT_STORE_DIR"]
+__all__ = ["ArenaStore", "DEFAULT_STORE_DIR"]
 
-_FORMAT = "repro-pathstore-v1"
-
-
-def content_key(cache) -> str:
-    """SHA-256 identifying a cache's path table (shared by both stores).
-
-    Covers the exact adjacency (not just RRG parameters), the selector
-    signature (scheme name plus any constructor knobs), ``k`` and the
-    master seed — everything the cached PathSets are a function of.  The
-    legacy gzip-JSON store and the CSR arena store key the same content
-    identically, which is what lets the arena store migrate legacy files
-    in place.
-    """
-    doc = {
-        "format": _FORMAT,
-        "topology": topology_to_dict(cache.topology),
-        "scheme": list(cache.selector.signature()),
-        "k": cache.k,
-        "seed": cache.seed,
-    }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+# Hashed into every store key, so it keeps its original name: changing it
+# would turn every persisted arena into a miss.
+_KEY_FORMAT = "repro-pathstore-v1"
 
 #: Default store location; override with the ``REPRO_PATH_STORE`` env var.
 DEFAULT_STORE_DIR = FsPath(
@@ -70,130 +48,19 @@ DEFAULT_STORE_DIR = FsPath(
 )
 
 
-class PathStore:
-    """A directory of persisted path tables, one gzipped JSON file per key.
+class ArenaStore:
+    """A directory of persisted path arenas, one ``arena-<key>.npz`` per key.
+
+    Tables persist as flat CSR arrays
+    (:class:`~repro.core.arena.PathArena`) and load as memory-mapped
+    views, so a warm start costs directory metadata, not a parse of every
+    path.  Foreign format tags and version mismatches read as a miss, any
+    other unreadable file counts ``core.store.corrupt`` and reads as a
+    miss — loading never raises.
 
     Use through :meth:`repro.core.cache.PathCache.warm` for the full
     load -> compute-missing -> persist pipeline, or drive ``load``/``save``
     directly.
-    """
-
-    def __init__(self, root: str | os.PathLike):
-        self.root = FsPath(root)
-
-    @classmethod
-    def default(cls) -> "PathStore":
-        """The store at :data:`DEFAULT_STORE_DIR` (``REPRO_PATH_STORE``)."""
-        return cls(DEFAULT_STORE_DIR)
-
-    # ------------------------------------------------------------- keys
-    def cache_key(self, cache) -> str:
-        """Content hash identifying ``cache``'s path table (:func:`content_key`)."""
-        return content_key(cache)
-
-    def file_for(self, cache) -> FsPath:
-        """The store file that holds (or would hold) ``cache``'s table."""
-        return self.root / f"paths-{self.cache_key(cache)}.json.gz"
-
-    # ----------------------------------------------------------- load/save
-    def load(self, cache) -> int:
-        """Merge persisted PathSets for ``cache``'s key into the cache.
-
-        Returns the number of imported pairs; 0 on miss or on any form of
-        corruption (never raises — the caller just recomputes).
-        """
-        target = self.file_for(cache)
-        entries = self._read_entries(target, self.cache_key(cache))
-        if entries:
-            cache.import_state(entries)
-            metrics.counter("core.store.load_hit").inc()
-            metrics.counter("core.store.loaded_pairs").inc(len(entries))
-            log.debug(
-                "path_store.loaded", path=str(target), pairs=len(entries)
-            )
-        else:
-            metrics.counter("core.store.load_miss").inc()
-        return len(entries)
-
-    def save(self, cache) -> FsPath:
-        """Persist ``cache``'s PathSets, merged with prior entries, atomically."""
-        key = self.cache_key(cache)
-        target = self.file_for(cache)
-        entries = self._read_entries(target, key)
-        entries.update(cache.export_state())
-        doc = {
-            "format": _FORMAT,
-            "key": key,
-            "entries": [
-                [s, d, [list(p.nodes) for p in ps]]
-                for (s, d), ps in sorted(entries.items())
-            ],
-        }
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(f"{target.name}.tmp.{os.getpid()}")
-        try:
-            with open(tmp, "wb") as raw:
-                # mtime=0 keeps the bytes a pure function of the content.
-                with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as fh:
-                    fh.write(
-                        json.dumps(doc, separators=(",", ":")).encode("ascii")
-                    )
-            os.replace(tmp, target)
-        finally:
-            if tmp.exists():  # pragma: no cover - crash-path hygiene
-                tmp.unlink()
-        metrics.counter("core.store.saved_pairs").inc(len(entries))
-        log.debug("path_store.saved", path=str(target), pairs=len(entries))
-        return target
-
-    def _read_entries(
-        self, path: FsPath, expected_key: str
-    ) -> Dict[Tuple[int, int], PathSet]:
-        try:
-            with gzip.open(path, "rt", encoding="ascii") as fh:
-                doc = json.load(fh)
-            if doc.get("format") != _FORMAT or doc.get("key") != expected_key:
-                return {}
-            out: Dict[Tuple[int, int], PathSet] = {}
-            for s, d, paths in doc["entries"]:
-                # Path/PathSet constructors re-validate loop-freeness,
-                # endpoints and duplicates, so corrupted entries raise and
-                # the whole file is discarded below.
-                out[(int(s), int(d))] = PathSet(
-                    int(s), int(d), [Path(nodes) for nodes in paths]
-                )
-            return out
-        except FileNotFoundError:
-            return {}
-        except Exception as exc:  # corruption-safe: recompute, never crash
-            metrics.counter("core.store.corrupt").inc()
-            log.warning(
-                "path_store.corrupt_file", path=str(path), error=repr(exc)
-            )
-            return {}
-
-
-class ArenaStore:
-    """A directory of persisted path arenas, one ``.npz`` file per key.
-
-    The canonical store: tables persist as flat CSR arrays
-    (:class:`~repro.core.arena.PathArena`) and load as memory-mapped
-    views, so a warm start costs directory metadata, not a gzip-JSON
-    parse of every path.  Keys, robustness rules and the atomic-save
-    discipline match :class:`PathStore` exactly:
-
-    - same content-hash key (:func:`content_key`), different file name
-      (``arena-<key>.npz`` vs ``paths-<key>.json.gz``);
-    - foreign format tags and version mismatches read as a miss, any
-      other unreadable file counts ``core.store.corrupt`` and reads as a
-      miss — loading never raises;
-    - saves merge with previously persisted entries and go through a
-      temp file + ``os.replace``.
-
-    A miss on the ``.npz`` falls back to the legacy gzip-JSON file for
-    the same key in the same directory: the entries are imported, the
-    arena is written back, and the load still counts as a warm hit — an
-    in-place migration.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -205,8 +72,21 @@ class ArenaStore:
         return cls(DEFAULT_STORE_DIR)
 
     def cache_key(self, cache) -> str:
-        """Content hash identifying ``cache``'s path table (:func:`content_key`)."""
-        return content_key(cache)
+        """SHA-256 identifying ``cache``'s path table.
+
+        Covers the exact adjacency (not just RRG parameters), the selector
+        signature (scheme name plus any constructor knobs), ``k`` and the
+        master seed — everything the cached PathSets are a function of.
+        """
+        doc = {
+            "format": _KEY_FORMAT,
+            "topology": topology_to_dict(cache.topology),
+            "scheme": list(cache.selector.signature()),
+            "k": cache.k,
+            "seed": cache.seed,
+        }
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
     def file_for(self, cache) -> FsPath:
         """The arena file that holds (or would hold) ``cache``'s table."""
@@ -227,23 +107,8 @@ class ArenaStore:
         A hit attaches the arena zero-copy; PathSet views materialise
         lazily on first use.
         """
-        key = self.cache_key(cache)
         target = self.file_for(cache)
-        arena = self._read_arena(target, key)
-        if arena is None:
-            # Legacy-store migration: a gzip-JSON table for the same key
-            # in the same root imports as a warm hit and is rewritten as
-            # an arena so the next load memory-maps.
-            legacy = PathStore(self.root)
-            entries = legacy._read_entries(legacy.file_for(cache), key)
-            if entries:
-                arena = PathArena.from_entries(
-                    entries, cache.topology.n_switches, key=key
-                )
-                try:
-                    self._write(target, arena)
-                except OSError:  # pragma: no cover - read-only store roots
-                    pass
+        arena = self._read_arena(target, self.cache_key(cache))
         if arena is None:
             metrics.counter("core.store.load_miss").inc()
             return 0
@@ -265,13 +130,6 @@ class ArenaStore:
         arena = fresh if prior is None else PathArena.merge(
             [prior, fresh], key=key
         )
-        self._write(target, arena)
-        metrics.counter("core.store.saved_pairs").inc(len(arena))
-        self._gauge(cache, arena)
-        log.debug("path_store.saved", path=str(target), pairs=len(arena))
-        return target
-
-    def _write(self, target: FsPath, arena: PathArena) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = target.with_name(f"{target.name}.tmp.{os.getpid()}")
         try:
@@ -280,6 +138,10 @@ class ArenaStore:
         finally:
             if tmp.exists():  # pragma: no cover - crash-path hygiene
                 tmp.unlink()
+        metrics.counter("core.store.saved_pairs").inc(len(arena))
+        self._gauge(cache, arena)
+        log.debug("path_store.saved", path=str(target), pairs=len(arena))
+        return target
 
     def _read_arena(self, path: FsPath, expected_key: str):
         try:
@@ -287,8 +149,7 @@ class ArenaStore:
         except FileNotFoundError:
             return None
         except ArenaFormatError:
-            # Foreign tag or version: a miss, exactly like the legacy
-            # store's format/key check.
+            # Foreign tag or version: a valid file, just not ours.
             return None
         except Exception as exc:  # corruption-safe: recompute, never crash
             metrics.counter("core.store.corrupt").inc()

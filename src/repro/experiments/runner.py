@@ -170,15 +170,6 @@ def main(argv=None) -> int:
         "(REPRO_PATH_STORE or ~/.cache/repro/path-tables)",
     )
     parser.add_argument(
-        "--store-format",
-        choices=("arena", "json"),
-        default="arena",
-        help="on-disk path-table format for --path-store: 'arena' is the "
-        "flat CSR .npz loaded via mmap (migrates legacy json stores in "
-        "place); 'json' keeps the legacy gzip-JSON PathStore (default: "
-        "arena)",
-    )
-    parser.add_argument(
         "--pairs-on-demand",
         type=int,
         default=None,
@@ -324,13 +315,12 @@ def main(argv=None) -> int:
 
     store = None
     if args.path_store is not None:
-        from repro.core.store import ArenaStore, PathStore
+        from repro.core.store import ArenaStore
 
-        store_cls = ArenaStore if args.store_format == "arena" else PathStore
         store = (
-            store_cls.default()
+            ArenaStore.default()
             if args.path_store == "default"
-            else store_cls(args.path_store)
+            else ArenaStore(args.path_store)
         )
 
     names = list(EXPERIMENTS) if "all" in args.experiment else args.experiment
@@ -429,7 +419,6 @@ def _emit_telemetry(
         config={
             "processes": args.processes,
             "path_store": args.path_store,
-            "store_format": args.store_format,
             "pairs_on_demand": args.pairs_on_demand,
             "export_dir": args.export_dir,
             "trace_sample": args.trace_sample,

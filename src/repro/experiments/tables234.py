@@ -61,10 +61,10 @@ def compute_reports(
     """{topology label: {scheme: quality report}} for the preset topologies.
 
     ``processes`` shards the path precompute across workers and
-    ``path_store`` (a :class:`~repro.core.store.PathStore` or
-    :class:`~repro.core.store.ArenaStore`) persists the warmed tables
-    between runs — both leave the reported numbers byte-identical to a
-    serial, storeless run (the PathCache determinism contract).
+    ``path_store`` (an :class:`~repro.core.store.ArenaStore`) persists
+    the warmed tables between runs — both leave the reported numbers
+    byte-identical to a serial, storeless run (the PathCache determinism
+    contract).
     ``pairs_on_demand`` caps the number of pairs computed per topology:
     only that many (seeded-random) pairs are precomputed and reported,
     which is what makes very large topologies feasible — Yen's runtime

@@ -354,6 +354,21 @@ class TestFigureCellLanes:
         diverged = [n for n, d in serial[2].items() if batched[2][n] != d]
         assert diverged == []
 
+    def test_one_pattern_cell_stays_on_fast_engine(self):
+        # One pattern only makes one-lane batches, which run slower than
+        # the fast engine; the cell must not take the batched path.
+        topo = _topo()
+        with metrics.capture() as reg:
+            _cell_throughputs(
+                topo, PathCache(topo, "redksp", k=4, seed=1), "ksp_adaptive",
+                [random_permutation(topo.n_hosts, seed=5)], (0.3, 0.6),
+                SimConfig(**CYCLES, batch_lanes=8),
+                [np.random.SeedSequence(entropy=7)],
+            )
+        counters = reg.snapshot()["counters"]
+        assert counters["netsim.engine_runs/fast"] > 0
+        assert "netsim.engine_runs/batched" not in counters
+
 
 class TestLaneMasking:
     """Early-draining lanes are masked; the rest keep stepping exactly."""

@@ -1,7 +1,7 @@
 """The flat CSR path arena: lossless views, robust persistence, zero-copy.
 
-The arena is the canonical storage format for path tables, so its
-guarantees mirror (and extend) the legacy PathStore suite:
+The arena is the one storage format for path tables, so it carries the
+whole persistence contract:
 
 - a PathSet materialised from the arena is indistinguishable from the one
   the cache computed — nodes, order, and RNG-dependent choices included;
@@ -10,8 +10,8 @@ guarantees mirror (and extend) the legacy PathStore suite:
   and read as a miss, while foreign format tags, version bumps and key
   mismatches read as a *silent* miss (a valid file, just not ours);
 - concurrent/partial saves merge instead of clobbering;
-- a legacy gzip-JSON table for the same key migrates in place and still
-  counts as a warm hit;
+- the store key separates every input of a table and is pinned, so
+  existing ``arena-<key>.npz`` files stay warm hits;
 - the shared-memory descriptor round-trips the arena zero-copy.
 """
 
@@ -24,7 +24,7 @@ import pytest
 
 from repro import Jellyfish, PathCache
 from repro.core.arena import ARENA_FORMAT, ArenaFormatError, PathArena
-from repro.core.store import ArenaStore, PathStore
+from repro.core.store import ArenaStore
 from repro.obs import log, metrics
 
 K = 4
@@ -197,18 +197,19 @@ class TestArenaStore:
     def test_export_bytes_identical_between_arena_and_dict(
         self, topo, tmp_path
     ):
-        # An arena-backed cache must persist through the *legacy* store
-        # byte-for-byte like the dict-backed cache it came from.
+        # An arena-backed cache must persist byte-for-byte like the
+        # dict-backed cache it came from.
         store = ArenaStore(tmp_path)
         warm = _warm_cache(topo)
         store.save(warm)
         cold = PathCache(topo, "rksp", k=K, seed=7)
         store.load(cold)
+        assert cold.arena is not None and warm.arena is None
 
-        legacy_a, legacy_b = PathStore(tmp_path / "a"), PathStore(tmp_path / "b")
-        legacy_a.save(warm)
-        legacy_b.save(cold)
-        assert legacy_a.file_for(warm).read_bytes() == legacy_b.file_for(
+        store_a, store_b = ArenaStore(tmp_path / "a"), ArenaStore(tmp_path / "b")
+        store_a.save(warm)
+        store_b.save(cold)
+        assert store_a.file_for(warm).read_bytes() == store_b.file_for(
             cold
         ).read_bytes()
 
@@ -308,23 +309,32 @@ class TestArenaStore:
         assert store.load(merged) == 2
         assert (0, 1) in merged and (2, 3) in merged
 
-    def test_legacy_gzip_json_migrates_as_warm_hit(self, topo, tmp_path):
-        legacy = PathStore(tmp_path)
-        warm = _warm_cache(topo)
-        legacy.save(warm)
-
+    def test_store_key_separates_topology_scheme_k_and_seed(
+        self, topo, tmp_path
+    ):
         store = ArenaStore(tmp_path)
-        cold = PathCache(topo, "rksp", k=K, seed=7)
-        with metrics.capture() as reg:
-            assert store.load(cold) == len(warm)
-        snap = reg.snapshot()["counters"]
-        assert snap["core.store.load_hit"] == 1
-        assert snap.get("core.store.load_miss", 0) == 0
-        assert _tables(cold) == _tables(warm)
-        # ... and the table now persists in arena form for the next load.
-        assert store.file_for(cold).exists()
-        again = PathCache(topo, "rksp", k=K, seed=7)
-        assert store.load(again) == len(warm)
+        base = PathCache(topo, "rksp", k=8, seed=0)
+        other_topo = Jellyfish(36, 24, 16, seed=2)
+        variants = [
+            PathCache(topo, "ksp", k=8, seed=0),
+            PathCache(topo, "rksp", k=4, seed=0),
+            PathCache(topo, "rksp", k=8, seed=1),
+            PathCache(other_topo, "rksp", k=8, seed=0),
+        ]
+        keys = {store.cache_key(c) for c in [base] + variants}
+        assert len(keys) == len(variants) + 1
+
+    def test_cache_key_is_pinned(self, tmp_path):
+        # Keys name the files on disk: a change to the hashed document
+        # would turn every persisted arena into a miss.
+        store = ArenaStore(tmp_path)
+        topo = Jellyfish(8, 8, 5, seed=3)
+        assert store.cache_key(PathCache(topo, "redksp", k=3, seed=0)) == (
+            "533c53624df4e868eed7980ab30a704640bd42ce6476c4068396872f7a43ba08"
+        )
+        assert store.cache_key(PathCache(topo, "ksp", k=8, seed=1)) == (
+            "332a9df52b39d8bd70338a4878fe1a7e2db5b70377bb4e45e7fd94f8e33addfe"
+        )
 
     def test_warm_pipeline_uses_arena_store(self, topo, tmp_path):
         store = ArenaStore(tmp_path)

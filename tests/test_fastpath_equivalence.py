@@ -7,24 +7,21 @@ implementation produced, RNG draw for RNG draw.  This module pins that
 contract with a self-contained reference implementation — a direct
 transcription of the seed's deque-BFS shortest path, Yen, Remove-Find and
 LLSKR — and compares full PathCache output against it for all six schemes
-across several master seeds.  It also pins the parallel and persistent
-halves of the pipeline: ``precompute_parallel`` must merge to the identical
-table whatever the worker count, and a PathStore roundtrip must reproduce
-the table byte-for-byte (with corruption reading as a clean miss).
+across several master seeds.  It also pins the parallel half of the
+pipeline: ``precompute_parallel`` must merge to the identical table
+whatever the worker count.  The persistent half (the arena store) is
+pinned in ``test_core_arena.py``.
 """
 
 from __future__ import annotations
 
-import gzip
 import heapq
 from collections import deque
 
 import numpy as np
 import pytest
 
-from repro import Jellyfish, PathCache, PathStore
-from repro.core.store import _FORMAT
-from repro.obs import log
+from repro import Jellyfish, PathCache
 
 
 # --------------------------------------------------------------------------
@@ -250,83 +247,3 @@ def test_precompute_parallel_skips_known_pairs(topo):
     pairs = [(0, 1), (0, 2)]
     assert cache.precompute_parallel(pairs) == 2
     assert cache.precompute_parallel(pairs + [(0, 3)]) == 1
-
-
-# --------------------------------------------------------------------------
-# Persistent store
-# --------------------------------------------------------------------------
-
-def test_store_roundtrip_is_byte_identical(topo, tmp_path):
-    store = PathStore(tmp_path)
-    warm = PathCache(topo, "redksp", k=K, seed=2)
-    pairs = _sample_pairs(topo.n_switches, 20, seed=4)
-    assert warm.warm(pairs, store=store) == len(pairs)
-    assert store.file_for(warm).exists()
-
-    cold = PathCache(topo, "redksp", k=K, seed=2)
-    assert cold.warm(pairs, store=store) == 0  # everything came from disk
-    assert _table(cold) == _table(warm)
-
-
-def test_store_key_separates_topology_scheme_k_and_seed(topo, tmp_path):
-    store = PathStore(tmp_path)
-    base = PathCache(topo, "rksp", k=8, seed=0)
-    other_topo = Jellyfish(36, 24, 16, seed=2)
-    variants = [
-        PathCache(topo, "ksp", k=8, seed=0),
-        PathCache(topo, "rksp", k=4, seed=0),
-        PathCache(topo, "rksp", k=8, seed=1),
-        PathCache(other_topo, "rksp", k=8, seed=0),
-    ]
-    keys = {store.cache_key(c) for c in [base] + variants}
-    assert len(keys) == len(variants) + 1
-
-
-def test_store_load_survives_corruption(topo, tmp_path):
-    store = PathStore(tmp_path)
-    cache = PathCache(topo, "sp", k=1, seed=0)
-    cache.warm([(0, 1), (1, 2)], store=store)
-    target = store.file_for(cache)
-
-    # Truncated gzip and garbage bytes must read as a miss with a logged
-    # corruption event, never raise.
-    good = target.read_bytes()
-    events = []
-    log.add_handler(events.append)
-    try:
-        for payload in [good[: len(good) // 2], b"not a gzip file at all"]:
-            target.write_bytes(payload)
-            fresh = PathCache(topo, "sp", k=1, seed=0)
-            assert store.load(fresh) == 0
-            assert len(fresh) == 0
-    finally:
-        log.remove_handler(events.append)
-    corrupt = [e for e in events if e["event"] == "path_store.corrupt_file"]
-    assert len(corrupt) == 2
-    assert all(str(target) == e["path"] for e in corrupt)
-
-    # A format-tag or key mismatch (old version, renamed file) is a silent
-    # miss — valid file, just not ours.
-    target.write_bytes(
-        gzip.compress(b'{"format": "something-else", "entries": []}')
-    )
-    fresh = PathCache(topo, "sp", k=1, seed=0)
-    assert store.load(fresh) == 0
-    target.write_bytes(
-        gzip.compress(
-            ('{"format": "%s", "key": "deadbeef", "entries": []}' % _FORMAT).encode()
-        )
-    )
-    assert store.load(fresh) == 0
-
-
-def test_store_merges_partial_warms(topo, tmp_path):
-    store = PathStore(tmp_path)
-    a = PathCache(topo, "ksp", k=K, seed=0)
-    a.warm([(0, 1)], store=store)
-    b = PathCache(topo, "ksp", k=K, seed=0)
-    b.warm([(2, 3)], store=store)
-
-    merged = PathCache(topo, "ksp", k=K, seed=0)
-    assert store.load(merged) == 2
-    assert (0, 1) in merged and (2, 3) in merged

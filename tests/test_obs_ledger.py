@@ -10,6 +10,7 @@ at once and asserts no entry is lost, torn, or duplicated.
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,20 @@ def test_bench_entries_distill_benchmark_rows():
         assert e["cpu_count"] == 4
         assert e["git_commit"] == "c" * 40
     assert entries[0]["metrics"] == {"timing/mean": 0.001, "timing/min": 0.0008}
+
+
+def test_seed_ledger_holds_every_committed_bench_export():
+    # ``runs gate`` only watches rows that reached the seed ledger, and
+    # ``compare.py --ledger`` is the one way a BENCH export gets there.
+    bench_dir = Path(__file__).resolve().parents[1] / "benchmarks"
+    exports = sorted(bench_dir.glob("BENCH_*.json"))
+    assert exports
+    ledger, _ = read_ledger(bench_dir / "LEDGER_seed.jsonl")
+    ids = {e["id"] for e in ledger}
+    for export in exports:
+        entries = bench_entries(json.loads(export.read_text()))
+        missing = [e["experiment"] for e in entries if e["id"] not in ids]
+        assert not missing, f"{export.name}: {missing}"
 
 
 def test_entry_id_is_content_based():

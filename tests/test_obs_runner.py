@@ -212,3 +212,33 @@ def test_unprofiled_manifest_has_no_profile_key(tmp_path):
     ]) == 0
     manifest = json.loads((out_dir / "table1-small.manifest.json").read_text())
     assert "profile" not in manifest
+
+
+def test_path_store_round_trip_through_cli(tmp_path, capsys, monkeypatch):
+    from repro.experiments import tables234
+
+    # The per-process report memo would skip the store on the second run.
+    monkeypatch.setattr(tables234, "_REPORT_CACHE", {})
+    store_dir = tmp_path / "store"
+
+    def run(tel):
+        assert main([
+            "table2", "--scale", "small", "--path-store", str(store_dir),
+            "--telemetry-dir", str(tmp_path / tel),
+        ]) == 0
+        manifest = json.loads(
+            (tmp_path / tel / "table2-small.manifest.json").read_text()
+        )
+        table = capsys.readouterr().out.split("\nstage timings")[0]
+        return manifest["metrics"]["counters"], table
+
+    cold, cold_table = run("t1")
+    assert cold["core.store.load_miss"] == 12
+    assert len(list(store_dir.glob("arena-*.npz"))) == 12
+
+    tables234._REPORT_CACHE.clear()
+    warm, warm_table = run("t2")
+    assert warm["core.store.load_hit"] == 12
+    assert "core.cache.miss" not in warm
+    assert warm_table == cold_table
+    assert "RRG(12,10,7)" in warm_table
