@@ -7,14 +7,15 @@ level; the rest keep rising.  This is the steady-state bandwidth sharing of
 a congestion-controlled transport, which is what the flow-level application
 simulator advances between completion events.
 
-The implementation is O(iterations x links + total flow-link incidences)
-with NumPy-vectorised headroom computation; iterations are bounded by the
-number of distinct bottleneck levels (at most the link count).
+The flow->link incidence is built once per call; each fill level is then a
+fixed number of NumPy calls over the links and the live incidences (those
+of flows not yet frozen).  Levels are bounded by the number of distinct
+bottleneck levels (at most the link count).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,36 +60,34 @@ def maxmin_rates(
     if n_flows == 0:
         return rates
 
-    # Per-link active-flow counts and reverse index link -> flows.
-    count = np.zeros(n_links, dtype=np.int64)
-    flows_on_link: List[List[int]] = [[] for _ in range(n_links)]
-    active = np.zeros(n_flows, dtype=bool)
-    for f, links in enumerate(flow_links):
-        if len(links) == 0:
-            continue  # unconstrained
-        active[f] = True
-        for link in links:
-            count[link] += 1
-            flows_on_link[link].append(f)
+    # Flow -> link incidence: incidence e is flow ``flow_of[e]`` crossing
+    # link ``link_of[e]`` (a link repeated within a flow counts twice).
+    lens = np.fromiter(map(len, flow_links), dtype=np.int64, count=n_flows)
+    link_of = np.concatenate(flow_links)
+    if link_of.size and (link_of.min() < 0 or link_of.max() >= n_links):
+        bad = link_of[(link_of < 0) | (link_of >= n_links)][0]
+        raise SimulationError(f"link id {bad} out of range for n_links={n_links}")
+    flow_of = np.repeat(np.arange(n_flows), lens)
+    count = np.bincount(link_of, minlength=n_links)
+    frozen = np.zeros(n_flows, dtype=bool)
 
     fill = 0.0
-    remaining = int(active.sum())
-    while remaining > 0:
+    while link_of.size:
         used = count > 0
         headroom = cap_left[used] / count[used]
         r = float(headroom.min())
         fill += r
-        cap_left[used] -= count[used] * r
+        # A link without live flows has count 0: it is left unchanged here
+        # and never read again.
+        cap_left -= count * r
         # Freeze every active flow crossing a now-saturated link.
-        saturated = np.flatnonzero(used & (cap_left <= _EPS * fill + _EPS))
-        if saturated.size == 0:  # pragma: no cover - float-safety net
+        saturated = used & (cap_left <= _EPS * fill + _EPS)
+        hit = flow_of[saturated[link_of]]
+        if not hit.size:  # pragma: no cover - float-safety net
             raise SimulationError("water-filling failed to saturate a link")
-        for link in saturated:
-            for f in flows_on_link[link]:
-                if active[f]:
-                    active[f] = False
-                    rates[f] = fill
-                    remaining -= 1
-                    for l2 in flow_links[f]:
-                        count[l2] -= 1
+        rates[hit] = fill
+        frozen[hit] = True
+        keep = ~frozen[flow_of]
+        link_of, flow_of = link_of[keep], flow_of[keep]
+        count = np.bincount(link_of, minlength=n_links)
     return rates

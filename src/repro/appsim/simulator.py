@@ -15,7 +15,7 @@ message and for the whole exchange (the paper's "communication time").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -59,32 +59,27 @@ def run_flows(
     remaining = np.asarray([f.nbytes for f in flows], dtype=np.float64)
     total_bytes = float(remaining.sum())
     completion = np.zeros(n)
-    alive: List[int] = list(range(n))
+    alive = np.arange(n)
     t = 0.0
 
     guard = 0
-    while alive:
+    while alive.size:
         guard += 1
         if guard > n + 1:
             raise SimulationError("flow completion loop failed to converge")
-        rates = maxmin_rates([flows[i].links for i in alive], capacity, n_links)
+        rates = maxmin_rates([flows[i].links for i in alive.tolist()], capacity, n_links)
         if not (rates > 0).all():
             raise SimulationError("max-min returned a zero rate")
         ttc = remaining[alive] / rates  # inf-rate flows finish instantly
         dt = float(ttc.min())
         t += dt
-        threshold = dt * (1 + _REL_TOL)
-        still: List[int] = []
-        for pos, i in enumerate(alive):
-            if ttc[pos] <= threshold:
-                completion[i] = t
-                remaining[i] = 0.0
-            else:
-                remaining[i] -= rates[pos] * dt
-                still.append(i)
-        if len(still) == len(alive):  # pragma: no cover - tolerance net
+        done = ttc <= dt * (1 + _REL_TOL)
+        if not done.any():  # pragma: no cover - tolerance net
             raise SimulationError("no flow completed in an event step")
-        alive = still
+        completion[alive[done]] = t
+        live = ~done
+        alive = alive[live]
+        remaining[alive] -= rates[live] * dt
 
     message_completion: Dict[int, float] = {}
     for f, c in zip(flows, completion):

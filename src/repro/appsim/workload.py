@@ -88,6 +88,7 @@ def build_workload(
             for _ in range(chunks):
                 if pathset.k == 1:
                     chosen = pathset.minimal
+                    links = _path_links(topology, chosen.nodes, src, dst)
                 else:
                     i = int(rng.integers(pathset.k))
                     j = int(rng.integers(pathset.k - 1))
@@ -96,8 +97,10 @@ def build_workload(
                     a, b = pathset[i], pathset[j]
                     la = _path_links(topology, a.nodes, src, dst)
                     lb = _path_links(topology, b.nodes, src, dst)
-                    chosen = a if assigned[la].max() <= assigned[lb].max() else b
-                links = _path_links(topology, chosen.nodes, src, dst)
+                    if assigned[la].max() <= assigned[lb].max():
+                        chosen, links = a, la
+                    else:
+                        chosen, links = b, lb
                 flows.append(FlowSpec(src, dst, share, links, msg_id, chosen.nodes))
                 assigned[links] += share
 
@@ -167,8 +170,6 @@ def stencil_time(
 
 def _chain_results(results: Sequence[AppSimResult]) -> AppSimResult:
     """Aggregate sequential phases: phase i starts when phase i-1 ends."""
-    import numpy as np
-
     offset = 0.0
     completions = []
     messages: dict = {}

@@ -1,10 +1,17 @@
 """Unit tests for max-min fair-share rate computation."""
 
+from typing import List
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import Jellyfish, PathCache
+from repro.appsim import build_workload, run_flows
 from repro.appsim.fairshare import maxmin_rates
 from repro.errors import SimulationError
+from repro.traffic.mapping import apply_mapping, linear_mapping
+from repro.traffic.stencil import stencil_messages
 
 
 def arr(*xs):
@@ -94,3 +101,151 @@ class TestEdgeCases:
         n = 1000
         rates = maxmin_rates([arr(0)] * n, 1.0, n_links=1)
         assert rates == pytest.approx(np.full(n, 1e-3))
+
+    def test_negative_link_id_rejected(self):
+        with pytest.raises(SimulationError, match=r"link id -1 .*n_links=3"):
+            maxmin_rates([arr(-1), arr(2)], 1.0, n_links=3)
+
+    def test_link_id_beyond_n_links_rejected(self):
+        with pytest.raises(SimulationError, match=r"link id 3 .*n_links=3"):
+            maxmin_rates([arr(0), arr(1, 3)], np.ones(3))
+
+
+# ------------------------------------------------------------------ oracle
+# Per-link, per-flow loop versions of the water-fill and of the event loop,
+# the exactness oracle: they do the same float operations on the same values
+# in the same order as the array code, so results must be bit-identical.
+
+_EPS = 1e-12
+_REL_TOL = 1e-9
+
+
+def _reference_rates(flow_links, capacity, n_links=None):
+    n_flows = len(flow_links)
+    if np.isscalar(capacity):
+        if n_links is None:
+            raise SimulationError("n_links is required with scalar capacity")
+        cap_left = np.full(n_links, float(capacity))
+    else:
+        cap_left = np.asarray(capacity, dtype=np.float64).copy()
+        n_links = cap_left.size
+    if (cap_left <= 0).any():
+        raise SimulationError("all link capacities must be positive")
+
+    rates = np.full(n_flows, np.inf)
+    if n_flows == 0:
+        return rates
+
+    # Per-link active-flow counts and reverse index link -> flows.
+    count = np.zeros(n_links, dtype=np.int64)
+    flows_on_link: List[List[int]] = [[] for _ in range(n_links)]
+    active = np.zeros(n_flows, dtype=bool)
+    for f, links in enumerate(flow_links):
+        if len(links) == 0:
+            continue  # unconstrained
+        active[f] = True
+        for link in links:
+            count[link] += 1
+            flows_on_link[link].append(f)
+
+    fill = 0.0
+    remaining = int(active.sum())
+    while remaining > 0:
+        used = count > 0
+        headroom = cap_left[used] / count[used]
+        r = float(headroom.min())
+        fill += r
+        cap_left[used] -= count[used] * r
+        # Freeze every active flow crossing a now-saturated link.
+        saturated = np.flatnonzero(used & (cap_left <= _EPS * fill + _EPS))
+        if saturated.size == 0:
+            raise SimulationError("water-filling failed to saturate a link")
+        for link in saturated:
+            for f in flows_on_link[link]:
+                if active[f]:
+                    active[f] = False
+                    rates[f] = fill
+                    remaining -= 1
+                    for l2 in flow_links[f]:
+                        count[l2] -= 1
+    return rates
+
+
+def _reference_run_flows(flows, capacity, n_links=None):
+    """Per-flow completion times of the reference event loop."""
+    n = len(flows)
+    remaining = np.asarray([f.nbytes for f in flows], dtype=np.float64)
+    completion = np.zeros(n)
+    alive: List[int] = list(range(n))
+    t = 0.0
+
+    guard = 0
+    while alive:
+        guard += 1
+        if guard > n + 1:
+            raise SimulationError("flow completion loop failed to converge")
+        rates = _reference_rates([flows[i].links for i in alive], capacity, n_links)
+        if not (rates > 0).all():
+            raise SimulationError("max-min returned a zero rate")
+        ttc = remaining[alive] / rates  # inf-rate flows finish instantly
+        dt = float(ttc.min())
+        t += dt
+        threshold = dt * (1 + _REL_TOL)
+        still: List[int] = []
+        for pos, i in enumerate(alive):
+            if ttc[pos] <= threshold:
+                completion[i] = t
+                remaining[i] = 0.0
+            else:
+                remaining[i] -= rates[pos] * dt
+                still.append(i)
+        if len(still) == len(alive):
+            raise SimulationError("no flow completed in an event step")
+        alive = still
+    return completion
+
+
+@st.composite
+def _instances(draw):
+    """Random solver inputs: repeated link ids, ~10% linkless flows, and
+    capacities that are scalar, per-link uniform, or small integers (the
+    last force ties, several links saturating in one level)."""
+    n_links = draw(st.integers(1, 40))
+    n_flows = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flow_links = [
+        rng.integers(0, n_links, size=0 if rng.random() < 0.1 else int(rng.integers(1, 5)))
+        for _ in range(n_flows)
+    ]
+    kind = draw(st.sampled_from(["scalar", "uniform", "small_int"]))
+    if kind == "scalar":
+        return flow_links, draw(st.floats(0.5, 100.0)), n_links
+    if kind == "uniform":
+        return flow_links, rng.uniform(0.5, 10.0, size=n_links), None
+    return flow_links, rng.integers(1, 4, size=n_links).astype(np.float64), None
+
+
+class TestMatchesReference:
+    @given(inst=_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_rates_bit_identical(self, inst):
+        flow_links, capacity, n_links = inst
+        assert np.array_equal(
+            maxmin_rates(flow_links, capacity, n_links),
+            _reference_rates(flow_links, capacity, n_links),
+        )
+
+    def test_table5_cell_bit_identical(self):
+        # One Table V cell on the small preset's topology: 2dnndiag, linear
+        # mapping, rEDKSP(4) paths, KSP-adaptive chunks.
+        topo = Jellyfish(9, 10, 6, seed=0)
+        paths = PathCache(topo, "redksp", k=4, seed=1)
+        msgs = apply_mapping(
+            stencil_messages("2dnndiag", topo.n_hosts),
+            linear_mapping(topo.n_hosts, topo.n_hosts),
+        )
+        flows = build_workload(topo, msgs, paths, chunks=4, seed=2)
+        got = run_flows(flows, 20e9, topo.n_links)
+        want = _reference_run_flows(flows, 20e9, topo.n_links)
+        assert np.array_equal(got.flow_completion, want)
+        assert got.makespan == want.max()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Jellyfish, PathCache
-from repro.appsim import FlowSpec, build_workload, run_flows, stencil_time
+from repro.appsim import FlowSpec, build_workload, run_flows, simulator, stencil_time
 from repro.errors import ConfigurationError, SimulationError
 
 
@@ -65,6 +65,20 @@ class TestRunFlows:
         flows = [flow(10.0, [i], i) for i in range(6)]
         r = run_flows(flows, 1.0, n_links=6)
         assert r.flow_completion == pytest.approx(np.full(6, 10.0))
+
+    def test_solves_through_module_global(self, monkeypatch):
+        # The benchmark tracer times the solver by wrapping this module
+        # global; one call per event, with the alive flows' link arrays.
+        sizes = []
+        solve = simulator.maxmin_rates
+
+        def counting(flow_links, *args):
+            sizes.append(len(flow_links))
+            return solve(flow_links, *args)
+
+        monkeypatch.setattr(simulator, "maxmin_rates", counting)
+        run_flows([flow(30.0, [0], 0), flow(90.0, [0], 1)], 10.0, n_links=1)
+        assert sizes == [2, 1]
 
 
 class TestBuildWorkload:
