@@ -69,7 +69,13 @@ import numpy as np
 from repro.core.cache import PathCache
 from repro.errors import ConfigurationError, SimulationError
 from repro.netsim.config import SimConfig
-from repro.netsim.fastcore import _tables_for, draw_batch
+from repro.netsim.fastcore import (
+    _tables_for,
+    draw_batch,
+    pick_ksp_adaptive,
+    pick_ksp_ugal,
+    pick_random,
+)
 from repro.netsim.mechanisms import make_mechanism
 from repro.netsim.network import NetworkWiring
 from repro.netsim.stats import latency_percentiles, stamp_latency_gauges
@@ -160,10 +166,11 @@ class BatchSimulator:
         One :class:`BatchLane` per run.  All lanes must agree on the VC
         count their mechanism implies (the grid runner groups cells by
         it); a disagreement raises :class:`ConfigurationError`.
-    config / collect_occupancy:
+    config:
         Shared simulator parameters (fixed-budget only).  VC-occupancy
-        samples are collected when the metrics registry is enabled at
-        ``run()`` time, exactly like the serial engines.
+        samples follow :meth:`run`'s ``observe``, which defaults to
+        whether the metrics registry is enabled at ``run()`` time,
+        exactly like the serial engines.
     """
 
     engine_name = "batched"
@@ -364,9 +371,6 @@ class BatchSimulator:
         ]
         self._rr_flow: List[Dict[Tuple[int, int], int]] = [{} for _ in range(N)]
         self._plans = [_DRAW_PLAN[m] for m in self._mech_names]
-        # Occupancy view for the scalar chooser fallback (tiny launch
-        # sets); the vectorized launch reads ``_occ`` directly.
-        self._occ_l = self._occ
         self._est_first = config.adaptive_estimate == "first"
         self._live: List[int] = list(range(N))
 
@@ -862,12 +866,13 @@ class BatchSimulator:
         elif mech == "round_robin":
             picker = self._rr_flow[lane]
         elif mech == "random":
-            picker = self._bchoose_random
+            picker = pick_random
         elif mech == "ksp_ugal":
-            picker = self._bchoose_ksp_ugal
+            picker = pick_ksp_ugal
         else:
-            picker = self._bchoose_ksp_adaptive
+            picker = pick_ksp_adaptive
         locc = lane * self._n_links
+        occ, est_first, cl = self._occ, self._est_first, self._cl
         ls_fwd = self._ls_fwd
         inj_lb = self._inj_lbase
         c = 0
@@ -893,7 +898,7 @@ class BatchSimulator:
                 if not skip_k1:
                     c += 1
             else:
-                rid = picker(rec, vals, c, locc)
+                rid = picker(rec, vals, c, occ, locc, est_first, cl)
                 c += ndraw
             if freelist:
                 pid = freelist.pop()
@@ -1227,56 +1232,6 @@ class BatchSimulator:
         rec = self._t.pair_record(sw_s, sw_d, ps)
         self._refresh_tables()  # the record may have added routes
         return rec
-
-    # Native multi-path choosers — the fast core's, with the lane's
-    # occupancy offset (see fastcore._bchoose_*).
-    def _bchoose_random(self, rec, vals, c, locc) -> int:
-        return rec[1][vals[c]]
-
-    def _bchoose_ksp_ugal(self, rec, vals, c, locc) -> int:
-        k, rids, hops, links, _rank = rec
-        j = 1 + vals[c]
-        occ = self._occ_l
-        hi, hj = hops[0], hops[j]
-        if self._est_first:
-            ea = occ[locc + links[0][0]] * hi
-            eb = occ[locc + links[j][0]] * hj
-        else:
-            cl = self._cl
-            ea = hi * cl
-            for link in links[0]:
-                ea += occ[locc + link]
-            eb = hj * cl
-            for link in links[j]:
-                eb += occ[locc + link]
-        if ea != eb:
-            return rids[0] if ea < eb else rids[j]
-        return rids[0] if hi <= hj else rids[j]
-
-    def _bchoose_ksp_adaptive(self, rec, vals, c, locc) -> int:
-        k, rids, hops, links, rank = rec
-        i = vals[c]
-        j = vals[c + 1]
-        if j >= i:
-            j += 1
-        if rank[i] > rank[j]:
-            i, j = j, i
-        occ = self._occ_l
-        hi, hj = hops[i], hops[j]
-        if self._est_first:
-            ea = occ[locc + links[i][0]] * hi
-            eb = occ[locc + links[j][0]] * hj
-        else:
-            cl = self._cl
-            ea = hi * cl
-            for link in links[i]:
-                ea += occ[locc + link]
-            eb = hj * cl
-            for link in links[j]:
-                eb += occ[locc + link]
-        if ea != eb:
-            return rids[i] if ea < eb else rids[j]
-        return rids[i] if hi <= hj else rids[j]
 
     # --------------------------------------------------------- allocation
     def _active_scan(self) -> np.ndarray:

@@ -151,6 +151,61 @@ def _draw_batch_slow(
     return vals
 
 
+# Route pickers shared by the fast and batched engines.  A picker turns a
+# multi-path pair record ``(k, rids, hops, links, rank)`` and the launch's
+# drawn values ``vals[c:]`` into a route id.  ``occ`` is the link
+# occupancy, ``locc`` the lane's offset into it (0 for the fast engine),
+# and ``est_first``/``cl`` the run's estimate kind and channel latency.
+
+def _better(rec: tuple, i: int, j: int, occ, locc: int, est_first: bool,
+            cl: int) -> int:
+    """Candidate with the lower latency estimate; ``i`` on ties.
+
+    The ``"first"`` estimate is the first channel's queue times the hop
+    count (UGAL-L); the ``"path"`` estimate is hops x channel latency
+    plus the flits queued along the whole route.  Equal estimates go to
+    the shorter route, then to ``i``.
+    """
+    hops, links = rec[2], rec[3]
+    hi, hj = hops[i], hops[j]
+    if est_first:
+        ea = occ[locc + links[i][0]] * hi
+        eb = occ[locc + links[j][0]] * hj
+    else:
+        ea = hi * cl
+        for link in links[i]:
+            ea += occ[locc + link]
+        eb = hj * cl
+        for link in links[j]:
+            eb += occ[locc + link]
+    if ea != eb:
+        return i if ea < eb else j
+    return i if hi <= hj else j
+
+
+def pick_random(rec, vals, c, occ, locc, est_first, cl) -> int:
+    """Oblivious pick: the drawn candidate."""
+    return rec[1][vals[c]]
+
+
+def pick_ksp_ugal(rec, vals, c, occ, locc, est_first, cl) -> int:
+    """The shortest path against one drawn non-minimal challenger."""
+    return rec[1][_better(rec, 0, 1 + vals[c], occ, locc, est_first, cl)]
+
+
+def pick_ksp_adaptive(rec, vals, c, occ, locc, est_first, cl) -> int:
+    """Two distinct drawn candidates, compared in canonical order."""
+    i = vals[c]
+    j = vals[c + 1]
+    if j >= i:
+        j += 1
+    # Unbiased tie-break: canonical (length, nodes) order first.
+    rank = rec[4]
+    if rank[i] > rank[j]:
+        i, j = j, i
+    return rec[1][_better(rec, i, j, occ, locc, est_first, cl)]
+
+
 class _RouteTables:
     """Per-cache CSR route core, independent of the VC count.
 
@@ -453,18 +508,18 @@ class FastSimulator(Simulator):
         # entirely for single-path pairs.
         if self.mechanism.name == "ksp_adaptive":
             self._ndraw, self._skip_k1, self._bnd_off = 2, True, 0
-            self._bchoose = self._bchoose_ksp_adaptive
+            self._pick = pick_ksp_adaptive
         elif self.mechanism.name == "ksp_ugal":
             # One draw per multi-path choose, bound k - 1 (the non-minimal
             # challenger index).
             self._ndraw, self._skip_k1, self._bnd_off = 1, True, 1
-            self._bchoose = self._bchoose_ksp_ugal
+            self._pick = pick_ksp_ugal
         elif self.mechanism.name == "random":
             self._ndraw, self._skip_k1, self._bnd_off = 1, False, 0
-            self._bchoose = self._bchoose_random
+            self._pick = pick_random
         else:
             self._ndraw, self._skip_k1, self._bnd_off = 0, True, 0
-            self._bchoose = None
+            self._pick = None
 
     # ------------------------------------------------------------- phases
     def _process_arrivals(self, now: int) -> None:
@@ -499,97 +554,56 @@ class FastSimulator(Simulator):
         delivered = 0
         enqueued = 0
         lat_total = 0
-        if tr is None:
-            # Untraced fast loop: identical bookkeeping, no per-packet
-            # trace checks.
-            for pid in bucket:
-                idx = pk_dest[pid]
-                if idx < 0:
-                    # Ejection: the packet reached its host.
-                    delivered += 1
-                    lat = now - pk_t0[pid]
-                    if track:
-                        lat_total += lat
-                    t = now - ms
-                    if 0 <= t < mc:
-                        s = t // sc
-                        sums[s] += lat
-                        counts[s] += 1
-                        lats.append(lat)
-                        if fs_on:
-                            fs_pairs.append(pk_src[pid] * nh + pk_dst[pid])
-                    freelist.append(pid)
-                else:
-                    length = flen[idx]
-                    pos = fhead[idx] + length
-                    if pos >= cap:
-                        pos -= cap
-                    fifo[idx * cap + pos] = pid
-                    flen[idx] = length + 1
-                    enqueued += 1
-                    if not length:
-                        nonempty[idx // stride].add(idx)
-                        rid = pk_rid[pid]
-                        hop = pk_hop[pid]
-                        if hop < r_hops[rid]:
-                            base = r_off[rid] + hop
-                            req_out[idx] = rf_out[base]
-                            req_nxt[idx] = rf_nxt[base]
-                            req_link[idx] = rf_link[base]
-                        else:
-                            req_out[idx] = eject_of[pk_dst[pid]]
-                            req_nxt[idx] = -1
-        else:
-            for pid in bucket:
-                idx = pk_dest[pid]
-                if idx < 0:
-                    # Ejection: the packet reached its host.
-                    delivered += 1
-                    lat = now - pk_t0[pid]
-                    if track:
-                        lat_total += lat
-                    t = now - ms
-                    if 0 <= t < mc:
-                        s = t // sc
-                        sums[s] += lat
-                        counts[s] += 1
-                        lats.append(lat)
-                        if fs_on:
-                            fs_pairs.append(pk_src[pid] * nh + pk_dst[pid])
-                    if pk_tr[pid] >= 0:
-                        tr.event(
-                            pk_tr[pid], self._trace_run, obs_trace.EV_EJECT,
-                            now, switch=host_sw[pk_dst[pid]],
-                        )
-                        tr.finish(pk_tr[pid], now)
-                    freelist.append(pid)
-                else:
-                    length = flen[idx]
-                    pos = fhead[idx] + length
-                    if pos >= cap:
-                        pos -= cap
-                    fifo[idx * cap + pos] = pid
-                    flen[idx] = length + 1
-                    enqueued += 1
-                    if not length:
-                        nonempty[idx // stride].add(idx)
-                        rid = pk_rid[pid]
-                        hop = pk_hop[pid]
-                        if hop < r_hops[rid]:
-                            base = r_off[rid] + hop
-                            req_out[idx] = rf_out[base]
-                            req_nxt[idx] = rf_nxt[base]
-                            req_link[idx] = rf_link[base]
-                        else:
-                            req_out[idx] = eject_of[pk_dst[pid]]
-                            req_nxt[idx] = -1
-                    if pk_tr[pid] >= 0:
-                        rem = idx % stride
-                        tr.event(
-                            pk_tr[pid], self._trace_run,
-                            obs_trace.EV_HOP_ENQUEUE, now, switch=idx // stride,
-                            port=rem // n_vcs, vc=rem % n_vcs,
-                        )
+        for pid in bucket:
+            idx = pk_dest[pid]
+            if idx < 0:
+                # Ejection: the packet reached its host.
+                delivered += 1
+                lat = now - pk_t0[pid]
+                if track:
+                    lat_total += lat
+                t = now - ms
+                if 0 <= t < mc:
+                    s = t // sc
+                    sums[s] += lat
+                    counts[s] += 1
+                    lats.append(lat)
+                    if fs_on:
+                        fs_pairs.append(pk_src[pid] * nh + pk_dst[pid])
+                if tr is not None and pk_tr[pid] >= 0:
+                    tr.event(
+                        pk_tr[pid], self._trace_run, obs_trace.EV_EJECT,
+                        now, switch=host_sw[pk_dst[pid]],
+                    )
+                    tr.finish(pk_tr[pid], now)
+                freelist.append(pid)
+            else:
+                length = flen[idx]
+                pos = fhead[idx] + length
+                if pos >= cap:
+                    pos -= cap
+                fifo[idx * cap + pos] = pid
+                flen[idx] = length + 1
+                enqueued += 1
+                if not length:
+                    nonempty[idx // stride].add(idx)
+                    rid = pk_rid[pid]
+                    hop = pk_hop[pid]
+                    if hop < r_hops[rid]:
+                        base = r_off[rid] + hop
+                        req_out[idx] = rf_out[base]
+                        req_nxt[idx] = rf_nxt[base]
+                        req_link[idx] = rf_link[base]
+                    else:
+                        req_out[idx] = eject_of[pk_dst[pid]]
+                        req_nxt[idx] = -1
+                if tr is not None and pk_tr[pid] >= 0:
+                    rem = idx % stride
+                    tr.event(
+                        pk_tr[pid], self._trace_run,
+                        obs_trace.EV_HOP_ENQUEUE, now, switch=idx // stride,
+                        port=rem // n_vcs, vc=rem % n_vcs,
+                    )
         n = len(bucket)
         bucket.clear()
         self.delivered += delivered
@@ -667,7 +681,8 @@ class FastSimulator(Simulator):
         reg = self._reg
         if reg is not None:
             reg.counter("core.cache.hit").inc(launched)
-        bchoose = self._bchoose
+        pick = self._pick
+        occ, est_first, cl = self._occ, self._est_first, self._cl
         fs_on = self._fs is not None
         pk_src = self._pk_src
         pk_rid, pk_hop, pk_t0 = self._pk_rid, self._pk_hop, self._pk_t0
@@ -686,7 +701,7 @@ class FastSimulator(Simulator):
                 if not skip_k1:
                     c += 1
             else:
-                rid = bchoose(rec, vals, c)
+                rid = pick(rec, vals, c, occ, 0, est_first, cl)
                 c += ndraw
             idx = host_buf[h]
             if freelist:
@@ -724,54 +739,6 @@ class FastSimulator(Simulator):
         self._n_flying += launched
         self._n_sourced -= launched
         return True
-
-    def _bchoose_random(self, rec: tuple, vals: List[int], c: int) -> int:
-        return rec[1][vals[c]]
-
-    def _bchoose_ksp_ugal(self, rec: tuple, vals: List[int], c: int) -> int:
-        k, rids, hops, links, _rank = rec
-        j = 1 + vals[c]
-        occ = self._occ
-        hi, hj = hops[0], hops[j]
-        if self._est_first:
-            ea = occ[links[0][0]] * hi
-            eb = occ[links[j][0]] * hj
-        else:
-            cl = self._cl
-            ea = hi * cl
-            for link in links[0]:
-                ea += occ[link]
-            eb = hj * cl
-            for link in links[j]:
-                eb += occ[link]
-        if ea != eb:
-            return rids[0] if ea < eb else rids[j]
-        return rids[0] if hi <= hj else rids[j]
-
-    def _bchoose_ksp_adaptive(self, rec: tuple, vals: List[int], c: int) -> int:
-        k, rids, hops, links, rank = rec
-        i = vals[c]
-        j = vals[c + 1]
-        if j >= i:
-            j += 1
-        if rank[i] > rank[j]:
-            i, j = j, i
-        occ = self._occ
-        hi, hj = hops[i], hops[j]
-        if self._est_first:
-            ea = occ[links[i][0]] * hi
-            eb = occ[links[j][0]] * hj
-        else:
-            cl = self._cl
-            ea = hi * cl
-            for link in links[i]:
-                ea += occ[link]
-            eb = hj * cl
-            for link in links[j]:
-                eb += occ[link]
-        if ea != eb:
-            return rids[i] if ea < eb else rids[j]
-        return rids[i] if hi <= hj else rids[j]
 
     def _launch_from_sources(self, now: int) -> None:
         if not self._n_sourced:
@@ -858,13 +825,7 @@ class FastSimulator(Simulator):
         self._n_sourced -= launched
 
     def _allocate(self, now: int) -> None:
-        if self._trace is None:
-            self._allocate_fast(now)
-        else:
-            self._allocate_traced(now)
-
-    def _allocate_fast(self, now: int) -> None:
-        """Untraced separable allocation (no per-flit trace checks)."""
+        """Separable allocation; flight-recorder events only when tracing."""
         cfg = self.config
         free = self.free
         rr_ptr = self.rr_ptr
@@ -876,7 +837,7 @@ class FastSimulator(Simulator):
         req_out, req_nxt, req_link = self._req_out, self._req_nxt, self._req_link
         inport = self._inport
         pk_rid, pk_hop, pk_link = self._pk_rid, self._pk_hop, self._pk_link
-        pk_dest, pk_dst = self._pk_dest, self._pk_dst
+        pk_dest, pk_tr, pk_dst = self._pk_dest, self._pk_tr, self._pk_dst
         tables = self._t
         r_off, r_hops = tables.r_off, tables.r_hops
         rf_out, rf_nxt, rf_link = tables.rf_out, tables.rf_nxt, tables.rf_link
@@ -890,6 +851,7 @@ class FastSimulator(Simulator):
             ej_base = self._ej_link_base
         else:
             ls_fwd = ls_stall = None
+        tr = self._trace
         measuring = now >= self._measure_start
         stalls = 0
         forwarded = 0
@@ -914,6 +876,14 @@ class FastSimulator(Simulator):
                     stalls += 1
                     if ls_stall is not None:
                         ls_stall[req_link[fi]] += 1
+                    if tr is not None:
+                        pid = fifo[fi * cap + fhead[fi]]
+                        if pk_tr[pid] >= 0:
+                            tr.event(
+                                pk_tr[pid], self._trace_run,
+                                obs_trace.EV_CREDIT_STALL, now, switch=switch,
+                                port=req_out[fi], vc=pk_hop[pid],
+                            )
                     continue
                 out_port = req_out[fi]
                 cands = pbuf[out_port]
@@ -988,152 +958,7 @@ class FastSimulator(Simulator):
                     # Ejection to the destination host.
                     if ls_fwd is not None:
                         ls_fwd[ej_base + pk_dst[pid]] += 1
-                    pk_dest[pid] = -1
-                    bucket.append(pid)
-                else:
-                    free[tgt] -= 1
-                    occ[wlink] += 1
-                    forwarded += 1
-                    if measuring:
-                        link_flits[wlink] += 1
-                    if ts_links is not None:
-                        ts_links[wlink] += 1
-                    if ls_fwd is not None:
-                        ls_fwd[wlink] += 1
-                    pk_link[pid] = wlink
-                    pk_hop[pid] += 1
-                    pk_dest[pid] = tgt
-                    bucket.append(pid)
-            touched.clear()
-            if gwin:
-                for ip in gwin:
-                    gin[ip] = 0
-                gwin.clear()
-        self.credit_stalls += stalls
-        self.flits_forwarded += forwarded
-        self._n_flying += granted_total
-        self._n_buffered -= granted_total
-
-    def _allocate_traced(self, now: int) -> None:
-        """The same allocation with flight-recorder event emission."""
-        cfg = self.config
-        free = self.free
-        rr_ptr = self.rr_ptr
-        stride = self._stride_switch
-        n_ports = self.n_ports
-        speedup = cfg.input_speedup
-        bucket = self._cal[(now + self._cl) % self._calP]
-        fifo, fhead, flen, cap = self._fifo, self._fhead, self._flen, self._cap
-        req_out, req_nxt, req_link = self._req_out, self._req_nxt, self._req_link
-        inport = self._inport
-        pk_rid, pk_hop, pk_link = self._pk_rid, self._pk_hop, self._pk_link
-        pk_dest, pk_tr, pk_dst = self._pk_dest, self._pk_tr, self._pk_dst
-        tables = self._t
-        r_off, r_hops = tables.r_off, tables.r_hops
-        rf_out, rf_nxt, rf_link = tables.rf_out, tables.rf_nxt, tables.rf_link
-        eject_of = self._eject_of
-        occ = self._occ
-        link_flits = self._link_flits
-        ts_links = self._ts_link_flits if self._ts is not None else None
-        if self._ls is not None:
-            ls_fwd = self._ls_fwd
-            ls_stall = self._ls_stall
-            ej_base = self._ej_link_base
-        else:
-            ls_fwd = ls_stall = None
-        tr = self._trace
-        measuring = now >= self._measure_start
-        stalls = 0
-        forwarded = 0
-        granted_total = 0
-        pbuf = self._port_cands
-        touched = self._touched_ports
-        gin = self._granted_in
-        gwin = self._grant_ins
-        for switch, active in enumerate(self.nonempty):
-            if not active:
-                continue
-            base = switch * stride
-            rr_base = switch * n_ports
-            for fi in (sorted(active) if len(active) > 1 else active):
-                nxt = req_nxt[fi]
-                if nxt >= 0 and free[nxt] <= 0:
-                    stalls += 1
-                    if ls_stall is not None:
-                        ls_stall[req_link[fi]] += 1
-                    pid = fifo[fi * cap + fhead[fi]]
-                    if pk_tr[pid] >= 0:
-                        tr.event(
-                            pk_tr[pid], self._trace_run,
-                            obs_trace.EV_CREDIT_STALL, now, switch=switch,
-                            port=req_out[fi], vc=pk_hop[pid],
-                        )
-                    continue
-                out_port = req_out[fi]
-                cands = pbuf[out_port]
-                if not cands:
-                    touched.append(out_port)
-                cands.append(fi)
-
-            if not touched:
-                continue
-            for out_port in touched:
-                gathered = cands = pbuf[out_port]
-                rr_key = rr_base + out_port
-                ptr = rr_ptr[rr_key]
-                if len(cands) > 1 and ptr:
-                    cut = bisect_left(cands, base + ptr)
-                    if 0 < cut < len(cands):
-                        cands = cands[cut:] + cands[:cut]
-                winner = -1
-                for fi in cands:
-                    in_port = inport[fi]
-                    if gin[in_port] >= speedup:
-                        continue
-                    winner = fi
-                    break
-                gathered.clear()
-                if winner < 0:
-                    continue
-                gin[in_port] += 1
-                gwin.append(in_port)
-                rr_ptr[rr_key] = winner - base + 1
-
-                tgt = req_nxt[winner]
-                wlink = req_link[winner]
-                head = fhead[winner]
-                pid = fifo[winner * cap + head]
-                length = flen[winner] - 1
-                flen[winner] = length
-                head += 1
-                if head == cap:
-                    head = 0
-                fhead[winner] = head
-                if length:
-                    npid = fifo[winner * cap + head]
-                    nrid = pk_rid[npid]
-                    nhop = pk_hop[npid]
-                    if nhop < r_hops[nrid]:
-                        nbase = r_off[nrid] + nhop
-                        req_out[winner] = rf_out[nbase]
-                        req_nxt[winner] = rf_nxt[nbase]
-                        req_link[winner] = rf_link[nbase]
-                    else:
-                        req_out[winner] = eject_of[pk_dst[npid]]
-                        req_nxt[winner] = -1
-                else:
-                    active.discard(winner)
-                free[winner] += 1
-                granted_total += 1
-                in_link = pk_link[pid]
-                if in_link >= 0:
-                    occ[in_link] -= 1
-
-                if tgt < 0:
-                    # Ejection to the destination host.
-                    if ls_fwd is not None:
-                        ls_fwd[ej_base + pk_dst[pid]] += 1
-                    if pk_tr[pid] >= 0:
+                    if tr is not None and pk_tr[pid] >= 0:
                         tr.event(
                             pk_tr[pid], self._trace_run,
                             obs_trace.EV_HOP_DEPART, now, switch=switch,
@@ -1151,7 +976,7 @@ class FastSimulator(Simulator):
                         ts_links[wlink] += 1
                     if ls_fwd is not None:
                         ls_fwd[wlink] += 1
-                    if pk_tr[pid] >= 0:
+                    if tr is not None and pk_tr[pid] >= 0:
                         tr.event(
                             pk_tr[pid], self._trace_run,
                             obs_trace.EV_HOP_DEPART, now, switch=switch,
@@ -1209,8 +1034,8 @@ class FastSimulator(Simulator):
         return rec[1][i % rec[0]]
 
     def _choose_ksp_ugal(self, h: int, dst: int, sw: int, dsw: int) -> int:
-        # _pair_rec and _better_idx inlined: this runs once per launched
-        # packet, and the call overhead is measurable at saturation.
+        # _pair_rec inlined: this runs once per launched packet, and the
+        # call overhead is measurable at saturation.
         rec = self._t.pair.get(sw * self._n_sw + dsw)
         if rec is None:
             rec = self._t.pair_record(sw, dsw, self.paths.get(sw, dsw))
@@ -1219,29 +1044,16 @@ class FastSimulator(Simulator):
             reg = self._reg
             if reg is not None:
                 reg.counter("core.cache.hit").inc()
-        k, rids, hops, links, _rank = rec
+        k = rec[0]
         if k == 1:
-            return rids[0]
-        j = 1 + int(self.rng.integers(k - 1))
-        occ = self._occ
-        hi, hj = hops[0], hops[j]
-        if self._est_first:
-            ea = occ[links[0][0]] * hi
-            eb = occ[links[j][0]] * hj
-        else:
-            cl = self._cl
-            ea = hi * cl
-            for link in links[0]:
-                ea += occ[link]
-            eb = hj * cl
-            for link in links[j]:
-                eb += occ[link]
-        if ea != eb:
-            return rids[0] if ea < eb else rids[j]
-        return rids[0] if hi <= hj else rids[j]
+            return rec[1][0]
+        vals = (int(self.rng.integers(k - 1)),)
+        return pick_ksp_ugal(
+            rec, vals, 0, self._occ, 0, self._est_first, self._cl
+        )
 
     def _choose_ksp_adaptive(self, h: int, dst: int, sw: int, dsw: int) -> int:
-        # _pair_rec and _better_idx inlined (see _choose_ksp_ugal).
+        # _pair_rec inlined (see _choose_ksp_ugal).
         rec = self._t.pair.get(sw * self._n_sw + dsw)
         if rec is None:
             rec = self._t.pair_record(sw, dsw, self.paths.get(sw, dsw))
@@ -1250,33 +1062,14 @@ class FastSimulator(Simulator):
             reg = self._reg
             if reg is not None:
                 reg.counter("core.cache.hit").inc()
-        k, rids, hops, links, rank = rec
+        k = rec[0]
         if k == 1:
-            return rids[0]
+            return rec[1][0]
         rng = self.rng
-        i = int(rng.integers(k))
-        j = int(rng.integers(k - 1))
-        if j >= i:
-            j += 1
-        # Unbiased tie-break: canonical (length, nodes) order first.
-        if rank[i] > rank[j]:
-            i, j = j, i
-        occ = self._occ
-        hi, hj = hops[i], hops[j]
-        if self._est_first:
-            ea = occ[links[i][0]] * hi
-            eb = occ[links[j][0]] * hj
-        else:
-            cl = self._cl
-            ea = hi * cl
-            for link in links[i]:
-                ea += occ[link]
-            eb = hj * cl
-            for link in links[j]:
-                eb += occ[link]
-        if ea != eb:
-            return rids[i] if ea < eb else rids[j]
-        return rids[i] if hi <= hj else rids[j]
+        vals = (int(rng.integers(k)), int(rng.integers(k - 1)))
+        return pick_ksp_adaptive(
+            rec, vals, 0, self._occ, 0, self._est_first, self._cl
+        )
 
     def _choose_generic(self, h: int, dst: int, sw: int, dsw: int) -> int:
         nodes = tuple(self.mechanism.choose(h, dst, sw, dsw))
@@ -1285,26 +1078,6 @@ class FastSimulator(Simulator):
         if rid is None:
             rid = tables.add_route(nodes)
         return rid
-
-    def _better_idx(self, rec: tuple, i: int, j: int) -> int:
-        """Index of the better candidate; ``i`` on ties (cf. ``_better``)."""
-        hops, links = rec[2], rec[3]
-        occ = self._occ
-        hi, hj = hops[i], hops[j]
-        if self._est_first:
-            ea = occ[links[i][0]] * hi
-            eb = occ[links[j][0]] * hj
-        else:
-            cl = self._cl
-            ea = hi * cl
-            for link in links[i]:
-                ea += occ[link]
-            eb = hj * cl
-            for link in links[j]:
-                eb += occ[link]
-        if ea != eb:
-            return i if ea < eb else j
-        return i if hi <= hj else j
 
     # ---------------------------------------------------------------- run
     def _occupancy_view(self):

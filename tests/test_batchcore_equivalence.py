@@ -158,14 +158,21 @@ class TestLaneEquivalence:
         fps, _, _ = _run_batch([spec, spec, spec])
         assert fps[0] == fps[1] == fps[2]
 
-    def test_high_load_contention(self):
+    @pytest.mark.parametrize(
+        "knobs",
+        [CYCLES, dict(CYCLES, adaptive_estimate="first")],
+        ids=["path", "first"],
+    )
+    def test_high_load_contention(self, knobs):
         # Near saturation the clean-cycle fast path gives way to the
         # sequential sweep; equivalence must survive heavy contention.
+        # Both latency estimates reach the scalar pickers and the
+        # vectorized launch's _est_pair.
         lanes = [
             BatchLane("ksp_adaptive", _traffic("uniform", 24), 0.9, seed=3),
             BatchLane("ksp_ugal", _traffic("perm", 24), 0.85, seed=4),
         ]
-        batch = _assert_equivalent(lanes)
+        batch = _assert_equivalent(lanes, knobs)
         assert sum(fp["credit_stalls"] for fp in batch) > 0
 
     def test_tiny_buffers_force_dirty_cycles(self):

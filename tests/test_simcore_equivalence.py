@@ -11,8 +11,10 @@ snapshots, trace ``.npz``, time-series ``.npz``).
 
 These tests pin that contract across all six routing mechanisms, uniform and
 pattern traffic, fixed-budget and steady-state run control, cold and
-pre-warmed path caches, and traced runs (tracing forces the fast core onto
-its scalar launch fallback and the traced allocator).
+pre-warmed path caches, both adaptive latency estimates, and traced runs
+(tracing forces the fast core onto its scalar launch fallback and turns on
+its flight-recorder events, credit stalls inside a saturated network
+included).
 
 The ring-buffer edge tests at the bottom are the fast core's own unit
 coverage: FIFO wraparound under full occupancy, credit exhaustion at
@@ -41,6 +43,11 @@ STEADY = dict(
     steady_state=True, steady_window_cycles=30, steady_check_windows=2,
     warmup_cycles=60, max_warmup_cycles=240, sample_cycles=60, n_samples=2,
 )
+#: A saturated network: tiny buffers at load 0.9 keep switch buffers full,
+#: so head-of-line flits stall for credit inside the network.
+SATURATED = dict(rate=0.9, vc_buffer=2)
+#: The mechanisms that compare latency estimates of candidate paths.
+ADAPTIVE = ["ugal", "ksp_ugal", "ksp_adaptive"]
 
 
 def _topo():
@@ -54,7 +61,7 @@ def _traffic(kind, n_hosts):
 
 
 def _run(engine, mechanism, traffic_kind, *, steady=False, rate=0.4,
-         vc_buffer=None, prewarm=False):
+         vc_buffer=None, prewarm=False, adaptive_estimate=None):
     """One full run on ``engine``; returns (fingerprint, simulator)."""
     topo = _topo()
     paths = PathCache(topo, "redksp", k=4, seed=1)
@@ -67,6 +74,8 @@ def _run(engine, mechanism, traffic_kind, *, steady=False, rate=0.4,
     knobs = dict(STEADY if steady else CYCLES, engine=engine)
     if vc_buffer is not None:
         knobs["vc_buffer"] = vc_buffer
+    if adaptive_estimate is not None:
+        knobs["adaptive_estimate"] = adaptive_estimate
     cfg = SimConfig(**knobs)
     sim = Simulator(
         topo, paths, mechanism, _traffic(traffic_kind, topo.n_hosts),
@@ -122,6 +131,13 @@ class TestResultEquivalence:
         fp = _assert_equivalent("ksp_adaptive", "uniform", rate=0.9)
         assert fp["credit_stalls"] > 0
 
+    @pytest.mark.parametrize("traffic_kind", ["uniform", "perm"])
+    @pytest.mark.parametrize("mechanism", ADAPTIVE)
+    def test_first_link_estimate(self, mechanism, traffic_kind):
+        # The classic UGAL-L estimate (first channel's queue x hops), the
+        # one the ablation runs; every other case uses the whole-path one.
+        _assert_equivalent(mechanism, traffic_kind, adaptive_estimate="first")
+
     def test_prewarmed_cache_all_hits(self):
         # A fully warmed cache keeps the fast core on its batched launch
         # path from cycle 0; the cold-cache matrix above exercises the
@@ -163,18 +179,29 @@ class TestTelemetryEquivalence:
         assert counters.get("netsim.engine_runs/fast") == 1
         assert "netsim.engine_runs/reference" not in counters
 
-    def _trace_bytes(self, engine, tmp_path):
-        # Tracing disables the batched launch path and switches the fast
-        # core to its traced allocator/arrival loops — this doubles as
-        # the equivalence check for those variants.
+    def _trace_bytes(self, engine, tmp_path, mechanism="ksp_adaptive", **load):
+        # Tracing disables the batched launch path and turns on the fast
+        # core's flight-recorder events in its arrival and allocation
+        # loops — this doubles as the equivalence check for those events.
         with trace.capture(sample=16):
-            _run(engine, "ksp_adaptive", "uniform")
+            _run(engine, mechanism, "uniform", **load)
             out = trace.save_trace(tmp_path / f"{engine}.npz")
         return out.read_bytes()
 
-    def test_trace_npz_byte_identical(self, tmp_path):
-        assert self._trace_bytes("fast", tmp_path) == \
-            self._trace_bytes("reference", tmp_path)
+    @pytest.mark.parametrize(
+        "mechanism, load",
+        [("ksp_adaptive", {})] + [(m, SATURATED) for m in MECHANISMS],
+        ids=["rate0.4-ksp_adaptive"] + [f"sat-{m}" for m in MECHANISMS],
+    )
+    def test_trace_npz_byte_identical(self, tmp_path, mechanism, load):
+        assert self._trace_bytes("fast", tmp_path, mechanism, **load) == \
+            self._trace_bytes("reference", tmp_path, mechanism, **load)
+        if load:
+            # Not vacuous: some traced flit stalled for credit inside the
+            # network (source-queue stalls are all recorded at VC 0).
+            ev = trace.load_trace(tmp_path / "fast.npz")
+            stalled = ev["ev_kind"] == trace.EV_CREDIT_STALL
+            assert (ev["ev_vc"][stalled] > 0).any()
 
     def _timeseries_bytes(self, engine, tmp_path):
         with timeseries.capture(window=30):
