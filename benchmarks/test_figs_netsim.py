@@ -30,8 +30,9 @@ def test_fig9_saturation_shift_small(once):
     """Figure 9: shift saturation throughput, small topology."""
     r = once(run_experiment, "fig9", scale="small", seed=0)
     _sanity(r.data)
-    # The paper's headline on demanding shift traffic: KSP-adaptive is the
-    # best mechanism and beats KSP-UGAL clearly.
+    # The paper's headline on demanding shift traffic: KSP-adaptive is at
+    # least as good as KSP-UGAL.  It is not the best mechanism here:
+    # oblivious `random` (0.80) beats it (0.70) under both selectors.
     for scheme in ("ksp", "redksp"):
         assert r.data[scheme]["ksp_adaptive"] >= r.data[scheme]["ksp_ugal"]
 

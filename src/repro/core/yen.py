@@ -166,25 +166,3 @@ def k_shortest_paths(
         raise InsufficientPathsError(source, destination, k, accepted)
     return accepted
 
-
-def path_spectrum(
-    adj: Sequence[Sequence[int]],
-    source: int,
-    destination: int,
-    max_paths: int,
-    max_hops: int,
-    *,
-    tie: str = "min",
-    rng: SeedLike = None,
-) -> List[Path]:
-    """Shortest paths until either ``max_paths`` found or length exceeds
-    ``max_hops`` — the enumeration primitive LLSKR builds on.
-
-    Returns every discovered path with ``hops <= max_hops`` (at most
-    ``max_paths``), in nondecreasing hop order.
-    """
-    found = k_shortest_paths(
-        adj, source, destination, max_paths, tie=tie, rng=rng,
-        on_shortfall="truncate",
-    )
-    return [p for p in found if p.hops <= max_hops]

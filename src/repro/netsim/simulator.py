@@ -157,10 +157,6 @@ class SimResult:
     measured_samples: int = -1
     steady_converged: Optional[bool] = None
 
-    def offered_load(self) -> float:
-        """The injection rate (flits/node/cycle) this run offered."""
-        return self.injection_rate
-
 
 class Simulator:
     """One flit-level run.

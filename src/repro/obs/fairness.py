@@ -15,16 +15,24 @@ rankings tend to bury: *which flows paid for the good average?*
 - :func:`victim_pairs` — pairs whose p99 exceeds ``k`` times the run's
   median pair p99 (the flows a mean-only comparison would hide);
 - :func:`victim_link_attribution` — joins victims against the
-  link-state stall record to answer "which link is starving this pair";
+  link-state stall record (the run found by
+  :func:`repro.obs.forensics.match_run`) to answer "which link is
+  starving this pair";
 - :func:`snapshot_gauges` — the derived scalars stamped into manifest
   gauges (worst-run Jain index, worst pair p99).
+
+:func:`flow_docs` is the one analysis of a snapshot: one
+:func:`pair_stats` pass per run, kept as a plain-data document that
+:func:`flowstats_report` renders as ASCII and
+:func:`repro.report.export.flowstats_html` as a self-contained page.
 
 The CLI (``python -m repro.experiments flows <telemetry-dir>``) walks a
 telemetry directory, pairs every ``*.flowstats.npz`` with its sibling
 link-state artifact, prints the ASCII worst-pair tables and src-by-dst
-p99 heatmaps and, with ``--html``, writes the self-contained report
-(:func:`repro.report.export.flowstats_html`).  All outputs are pure
-functions of the artifacts — byte-deterministic across processes.
+p99 heatmaps and, with ``--html``, writes the HTML report; the
+directory walk, messages and exit codes are shared with ``inspect``
+(:mod:`repro.obs.forensics`).  All outputs are pure functions of the
+artifacts — byte-deterministic across processes.
 """
 
 from __future__ import annotations
@@ -37,6 +45,16 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.flowstats import FLOWSTATS_FORMAT, load_flowstats
+from repro.obs.forensics import (
+    _cli,
+    _select,
+    _sibling,
+    match_run,
+    rank_stalled_links,
+    run_label,
+    run_windows,
+)
+from repro.obs.linkstate import load_linkstate
 
 __all__ = [
     "pair_label",
@@ -58,17 +76,6 @@ __all__ = [
 def pair_label(src: int, dst: int) -> str:
     """Human label of an ordered host pair."""
     return f"h{int(src)}->h{int(dst)}"
-
-
-def run_label(snap: Mapping, run: int) -> str:
-    """``scheme/mechanism @ rate`` label of run ``run`` of a snapshot."""
-    runs = snap.get("runs", [])
-    if not 0 <= run < len(runs):
-        return f"run{run}"
-    meta = runs[run]
-    label = f"{meta.get('scheme', '?')}/{meta.get('mechanism', '?')}"
-    rate = meta.get("rate")
-    return f"{label} @ {rate:g}" if isinstance(rate, (int, float)) else label
 
 
 def _check(snap: Mapping) -> None:
@@ -202,7 +209,13 @@ def victim_pairs(
 
 def run_summary(snap: Mapping, run: int, *, k: float = 2.0) -> dict:
     """One run's fairness rollup: Jain index, p99 spread, worst pair."""
-    stats = pair_stats(snap, run)
+    return _summary(snap, run, pair_stats(snap, run), k)
+
+
+def _summary(
+    snap: Mapping, run: int, stats: Sequence[Mapping], k: float
+) -> dict:
+    """:func:`run_summary` from the run's :func:`pair_stats` digests."""
     victims = victim_pairs(stats, k=k)
     p99s = np.asarray([s["p99"] for s in stats], dtype=np.float64)
     worst = max(stats, key=lambda s: (s["p99"], -s["pair"]), default=None)
@@ -221,6 +234,7 @@ def run_summary(snap: Mapping, run: int, *, k: float = 2.0) -> dict:
             else float("nan")
         ),
         "victims": victims,
+        "victim_total": len(victims),
     }
 
 
@@ -247,27 +261,6 @@ def snapshot_gauges(snap: Mapping, *, k: float = 2.0) -> Dict[str, float]:
 
 
 # ----------------------------------------------- victim -> link attribution
-def match_run(snap: Mapping, run: int, other: Mapping) -> Optional[int]:
-    """The run of ``other`` (a linkstate/trace snapshot) matching ``run``.
-
-    Positional match when both snapshots recorded the same run sequence
-    (meta agrees on scheme/mechanism/rate); otherwise the unique run of
-    ``other`` with matching metadata, or ``None``.
-    """
-    meta = snap.get("runs", [])[run]
-    others = other.get("runs", [])
-    keys = ("scheme", "mechanism", "rate")
-    if len(others) == len(snap.get("runs", [])) and 0 <= run < len(others):
-        if all(others[run].get(c) == meta.get(c) for c in keys):
-            return run
-    hits = [
-        i
-        for i, m in enumerate(others)
-        if all(m.get(c) == meta.get(c) for c in keys)
-    ]
-    return hits[0] if len(hits) == 1 else None
-
-
 def victim_link_attribution(
     victims: Sequence[Mapping], ls_snap: Mapping, ls_run: int
 ) -> List[dict]:
@@ -279,8 +272,6 @@ def victim_link_attribution(
     backpressure tree would root at) — together they answer "which link
     is starving this pair".
     """
-    from repro.obs.forensics import rank_stalled_links, run_windows
-
     w = run_windows(ls_snap, ls_run)
     stalls = (
         w["credit_stalls"].sum(axis=0)
@@ -314,12 +305,9 @@ def victim_link_attribution(
     return out
 
 
-# ----------------------------------------------------------- ASCII report
-def _heat_grid(
-    snap: Mapping, run: int, stats: Sequence[Mapping], *, max_rows: int
-) -> tuple:
+# ----------------------------------------------------------- the document
+def _heat_grid(stats: Sequence[Mapping], n: int, *, max_rows: int) -> tuple:
     """(row labels, int rows) of the src-by-dst p99 heatmap, hottest srcs."""
-    n = int(snap["n_hosts"])
     grid = np.zeros((n, n), dtype=np.int64)
     for s in stats:
         grid[int(s["src"]), int(s["dst"])] = int(round(float(s["p99"])))
@@ -330,6 +318,59 @@ def _heat_grid(
     return [f"h{r}" for r in rows], [grid[r].tolist() for r in rows]
 
 
+def flow_docs(
+    snap: Mapping,
+    *,
+    name: str = "flowstats",
+    linkstate: Optional[Mapping] = None,
+    top: int = 8,
+    k: float = 2.0,
+) -> dict:
+    """Analyse one snapshot once, into the plain-data flow document.
+
+    Per run: the :func:`run_summary` rollup (``victim_total`` counts
+    every victim, ``victims`` keeps the ``top`` worst), the ``top``
+    worst pairs, the victims' link-state attribution (with a matching
+    ``linkstate`` run) and the src-by-dst p99 heatmap.  Both
+    :func:`flowstats_report` and :func:`repro.report.export.flowstats_html`
+    render this document; it is JSON-able plain structures.
+    """
+    _check(snap)
+    runs = []
+    for r in range(int(snap["n_runs"])):
+        stats = pair_stats(snap, r)
+        summary = _summary(snap, r, stats, k)
+        victims = summary["victims"][:top]
+        worst_rows = sorted(stats, key=lambda s: (-s["p99"], s["pair"]))[:top]
+        attribution = []
+        if victims and linkstate is not None:
+            ls_run = match_run(snap, r, linkstate)
+            if ls_run is not None:
+                attribution = victim_link_attribution(victims, linkstate, ls_run)
+        labels, rows = _heat_grid(stats, int(snap["n_hosts"]), max_rows=top)
+        runs.append(
+            dict(
+                summary,
+                meta=dict(snap["runs"][r]),
+                worst_rows=worst_rows,
+                victims=victims,
+                attribution=attribution,
+                heat_labels=labels,
+                heat_rows=rows,
+                k=float(k),
+            )
+        )
+    return {
+        "name": name,
+        "n_hosts": int(snap["n_hosts"]),
+        "n_pairs": int(snap["n_pairs"]),
+        "n_bins": int(snap["n_bins"]),
+        "n_runs": int(snap["n_runs"]),
+        "runs": runs,
+    }
+
+
+# ----------------------------------------------------------- ASCII report
 def flowstats_report(
     snap: Mapping,
     *,
@@ -343,160 +384,83 @@ def flowstats_report(
 
     Per run: the fairness summary line, the worst-pair table, the victim
     list (joined against the link-state stall record when available)
-    and the src-by-dst p99 heatmap.  Pure function of the snapshots —
-    byte-deterministic.
+    and the src-by-dst p99 heatmap.  Renders the :func:`flow_docs`
+    document — byte-deterministic.
     """
+    doc = flow_docs(snap, linkstate=linkstate, top=top, k=k)
+    return _text(_select(doc, run), title)
+
+
+def _text(doc: Mapping, title: str) -> str:
+    """Render a :func:`flow_docs` document as the ASCII flow deep dive."""
     from repro.report.ascii import (
         fairness_table,
         flow_pair_table,
         linkstate_heatmap,
     )
 
-    _check(snap)
-    n_runs = int(snap["n_runs"])
     lines = [
-        f"{title}: {n_runs} run(s), {int(snap['n_hosts'])} hosts "
-        f"({int(snap['n_pairs'])} pairs), exact {int(snap['n_bins'])}-bin "
+        f"{title}: {doc['n_runs']} run(s), {doc['n_hosts']} hosts "
+        f"({doc['n_pairs']} pairs), exact {doc['n_bins']}-bin "
         "latency histograms"
     ]
-    run_ids = list(range(n_runs)) if run is None else [run]
-    summaries = {r: run_summary(snap, r, k=k) for r in run_ids}
-    if len(run_ids) > 1:
-        lines.append("")
-        lines.append(fairness_table([summaries[r] for r in run_ids]))
-    for r in run_ids:
-        summary = summaries[r]
-        stats = pair_stats(snap, r)
-        lines.append("")
-        lines.append(
-            f"== run {r}: {summary['label']} — {summary['delivered']} "
-            f"measured packets over {summary['pairs_active']} pairs"
-        )
-        if summary["worst"] is None:
+    if len(doc["runs"]) > 1:
+        lines += ["", fairness_table(doc["runs"])]
+    for run in doc["runs"]:
+        lines += [
+            "",
+            f"== run {run['run']}: {run['label']} — {run['delivered']} "
+            f"measured packets over {run['pairs_active']} pairs",
+        ]
+        if run["worst"] is None:
             lines.append("   (no measured deliveries)")
             continue
         lines.append(
-            f"   fairness (Jain) {summary['jain']:.4f}; pair p99 median "
-            f"{summary['median_p99']:.1f}, worst "
-            f"{summary['worst']['p99']:.1f} cycles "
-            f"({summary['worst']['label']}, spread {summary['spread']:.2f}x)"
+            f"   fairness (Jain) {run['jain']:.4f}; pair p99 median "
+            f"{run['median_p99']:.1f}, worst "
+            f"{run['worst']['p99']:.1f} cycles "
+            f"({run['worst']['label']}, spread {run['spread']:.2f}x)"
         )
-        worst_rows = sorted(
-            stats, key=lambda s: (-s["p99"], s["pair"])
-        )[:top]
-        victims = summary["victims"]
-        victim_ids = {v["pair"] for v in victims}
-        lines.append("")
-        lines.append(flow_pair_table(worst_rows, victim_ids=victim_ids))
-        if victims:
-            lines.append("")
-            lines.append(
-                f"   victim pairs (p99 > {k:g}x median): "
-                f"{len(victims)}"
-            )
-            attribution = None
-            if linkstate is not None:
-                ls_run = match_run(snap, r, linkstate)
-                if ls_run is not None:
-                    attribution = {
-                        a["pair"]: a
-                        for a in victim_link_attribution(
-                            victims[:top], linkstate, ls_run
-                        )
-                    }
-            for v in victims[:top]:
-                line = (
-                    f"     {v['label']}: p99 {v['p99']:.1f} "
-                    f"({v['ratio']:.2f}x median), "
-                    f"{v['delivered']} delivered"
-                )
-                a = attribution.get(v["pair"]) if attribution else None
-                if a is not None:
-                    line += (
-                        f" — injection stalls {a['injection_stalls']}"
-                    )
-                    if a["suspect"] is not None:
-                        line += (
-                            f", top stalled link {a['suspect']['label']} "
-                            f"({100.0 * a['suspect']['share']:.1f}% of "
-                            "stalls)"
-                        )
-                lines.append(line)
+        # The document keeps the top victims, which are exactly the
+        # victims among the worst rows: both lists are p99-descending.
+        victim_ids = {v["pair"] for v in run["victims"]}
+        lines += ["", flow_pair_table(run["worst_rows"], victim_ids=victim_ids), ""]
+        if not run["victim_total"]:
+            lines.append(f"   no victim pairs (p99 > {run['k']:g}x median)")
         else:
-            lines.append("")
-            lines.append(f"   no victim pairs (p99 > {k:g}x median)")
-        labels, rows = _heat_grid(snap, r, stats, max_rows=top)
-        if rows:
-            lines.append("")
             lines.append(
+                f"   victim pairs (p99 > {run['k']:g}x median): "
+                f"{run['victim_total']}"
+            )
+        attribution = {a["pair"]: a for a in run["attribution"]}
+        for v in run["victims"]:
+            line = (
+                f"     {v['label']}: p99 {v['p99']:.1f} "
+                f"({v['ratio']:.2f}x median), "
+                f"{v['delivered']} delivered"
+            )
+            a = attribution.get(v["pair"])
+            if a is not None:
+                line += f" — injection stalls {a['injection_stalls']}"
+                if a["suspect"] is not None:
+                    line += (
+                        f", top stalled link {a['suspect']['label']} "
+                        f"({100.0 * a['suspect']['share']:.1f}% of "
+                        "stalls)"
+                    )
+            lines.append(line)
+        if run["heat_rows"]:
+            lines += [
+                "",
                 linkstate_heatmap(
-                    rows,
-                    labels,
+                    run["heat_rows"],
+                    run["heat_labels"],
                     title="   pair p99 latency by destination host "
                     "(hottest source hosts)",
                     axis="dst host",
-                )
-            )
+                ),
+            ]
     return "\n".join(lines)
-
-
-# ------------------------------------------------------------- HTML input
-def flow_docs(
-    snap: Mapping,
-    *,
-    name: str = "flowstats",
-    linkstate: Optional[Mapping] = None,
-    top: int = 8,
-    k: float = 2.0,
-) -> dict:
-    """Prepare one snapshot's plain-data document for the HTML renderer.
-
-    Everything :func:`repro.report.export.flowstats_html` needs, as
-    JSON-able plain structures — the renderer stays a pure template.
-    """
-    _check(snap)
-    runs = []
-    for r in range(int(snap["n_runs"])):
-        summary = run_summary(snap, r, k=k)
-        stats = pair_stats(snap, r)
-        worst_rows = sorted(stats, key=lambda s: (-s["p99"], s["pair"]))[:top]
-        victims = summary["victims"]
-        attribution = []
-        if victims and linkstate is not None:
-            ls_run = match_run(snap, r, linkstate)
-            if ls_run is not None:
-                attribution = victim_link_attribution(
-                    victims[:top], linkstate, ls_run
-                )
-        labels, rows = _heat_grid(snap, r, stats, max_rows=top)
-        runs.append(
-            {
-                "run": r,
-                "label": summary["label"],
-                "meta": dict(snap["runs"][r]),
-                "pairs_active": summary["pairs_active"],
-                "delivered": summary["delivered"],
-                "jain": summary["jain"],
-                "median_p99": summary["median_p99"],
-                "spread": summary["spread"],
-                "worst": summary["worst"],
-                "worst_rows": worst_rows,
-                "victims": victims[:top],
-                "victim_total": len(victims),
-                "attribution": attribution,
-                "heat_labels": labels,
-                "heat_rows": rows,
-                "k": float(k),
-            }
-        )
-    return {
-        "name": name,
-        "n_hosts": int(snap["n_hosts"]),
-        "n_pairs": int(snap["n_pairs"]),
-        "n_bins": int(snap["n_bins"]),
-        "n_runs": int(snap["n_runs"]),
-        "runs": runs,
-    }
 
 
 # ------------------------------------------------------------------- CLI
@@ -535,62 +499,21 @@ def main(argv=None) -> int:
         parser.error("--top must be >= 1")
     if args.k <= 0:
         parser.error("--k must be > 0")
+    from repro.report.export import flowstats_html
 
-    root = Path(args.path)
-    if root.is_file():
-        files = [root]
-    elif root.is_dir():
-        files = sorted(root.glob("*.flowstats.npz"))
-    else:
-        print(f"flows: {root} does not exist")
-        return 2
-    if not files:
-        print(f"flows: no *.flowstats.npz artifacts under {root}")
-        return 2
-
-    docs = []
-    for path in files:
-        try:
-            snap = load_flowstats(path)
-        except ConfigurationError as exc:
-            print(f"flows: {exc}")
-            return 2
-        stem = path.name[: -len(".flowstats.npz")]
-        ls = _sibling_linkstate(path, stem)
-        print(
-            flowstats_report(
-                snap,
-                linkstate=ls,
-                run=args.run,
-                top=args.top,
-                k=args.k,
-                title=f"flow-level SLOs [{stem}]",
-            )
+    def build(path: Path, stem: str) -> dict:
+        return flow_docs(
+            load_flowstats(path),
+            name=stem,
+            linkstate=_sibling(
+                path.with_name(stem + ".linkstate.npz"), load_linkstate
+            ),
+            top=args.top,
+            k=args.k,
         )
-        print()
-        docs.append(
-            flow_docs(
-                snap, name=stem, linkstate=ls, top=args.top, k=args.k
-            )
-        )
-    if args.html is not None:
-        from repro.report.export import flowstats_html
 
-        out = Path(args.html)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(flowstats_html(docs))
-        print(f"# flow report: {out}")
-    return 0
-
-
-def _sibling_linkstate(path: Path, stem: str) -> Optional[dict]:
-    """Load the sibling link-state artifact, or None if absent."""
-    sib = path.with_name(stem + ".linkstate.npz")
-    if not sib.exists():
-        return None
-    try:
-        from repro.obs.linkstate import load_linkstate
-
-        return load_linkstate(sib)
-    except (ConfigurationError, OSError, ValueError):
-        return None
+    return _cli(
+        args, prog="flows", suffix=".flowstats.npz", build=build,
+        text=lambda doc: _text(doc, f"flow-level SLOs [{doc['name']}]"),
+        html=flowstats_html, tag="flow report",
+    )

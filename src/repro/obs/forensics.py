@@ -18,30 +18,38 @@ with the packet flight recorder and the path cache's route tables:
   steady-state moving-window test of
   :func:`repro.obs.timeseries.detect_convergence`.
 
+:func:`deep_dive_docs` is the one analysis of a snapshot: it runs the
+above once per run and keeps the results as a plain-data document, which
+:func:`forensics_report` renders as ASCII (:mod:`repro.report.ascii`
+heatmaps and attribution tables) and
+:func:`repro.report.export.forensics_html` as a self-contained page.
+
 The CLI (``python -m repro.experiments inspect <telemetry-dir>``) walks
 a telemetry directory, pairs every ``*.linkstate.npz`` with its sibling
-trace / time-series artifacts, prints the ASCII deep dive
-(:mod:`repro.report.ascii` heatmaps and attribution tables) and, with
-``--html``, writes the self-contained per-run HTML report
-(:func:`repro.report.export.forensics_html`).  All outputs are pure
-functions of the artifacts — byte-deterministic across processes.
+trace / time-series artifacts, prints the ASCII deep dive and, with
+``--html``, writes the HTML report; the ``flows`` CLI of
+:mod:`repro.obs.fairness` runs through the same CLI body.  All outputs
+are pure functions of the artifacts — byte-deterministic across
+processes.
 """
 
 from __future__ import annotations
 
 import argparse
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.linkstate import LINKSTATE_FORMAT, MATRIX_COLS, load_linkstate
-from repro.obs.timeseries import detect_convergence
+from repro.obs.timeseries import detect_convergence, load_timeseries, run_series
+from repro.obs.trace import load_trace
 
 __all__ = [
     "link_label",
     "run_label",
+    "match_run",
     "run_windows",
     "rank_stalled_links",
     "congestion_tree",
@@ -73,6 +81,28 @@ def run_label(snap: Mapping, run: int) -> str:
     label = f"{meta.get('scheme', '?')}/{meta.get('mechanism', '?')}"
     rate = meta.get("rate")
     return f"{label} @ {rate:g}" if isinstance(rate, (int, float)) else label
+
+
+def match_run(snap: Mapping, run: int, other: Mapping) -> Optional[int]:
+    """The run of ``other`` (another artifact of the same experiment)
+    matching run ``run`` of ``snap``.
+
+    Positional match when both snapshots recorded the same run sequence
+    (meta agrees on scheme/mechanism/rate); otherwise the unique run of
+    ``other`` with matching metadata, or ``None``.
+    """
+    meta = snap.get("runs", [])[run]
+    others = other.get("runs", [])
+    keys = ("scheme", "mechanism", "rate")
+    if len(others) == len(snap.get("runs", [])) and 0 <= run < len(others):
+        if all(others[run].get(c) == meta.get(c) for c in keys):
+            return run
+    hits = [
+        i
+        for i, m in enumerate(others)
+        if all(m.get(c) == meta.get(c) for c in keys)
+    ]
+    return hits[0] if len(hits) == 1 else None
 
 
 def _check(snap: Mapping) -> None:
@@ -365,137 +395,7 @@ def static_link_paths(
     return out
 
 
-# ----------------------------------------------------------- ASCII report
-def forensics_report(
-    snap: Mapping,
-    *,
-    trace: Optional[Mapping] = None,
-    timeseries: Optional[Mapping] = None,
-    run: Optional[int] = None,
-    top: int = 8,
-    depth: int = 3,
-    title: str = "congestion forensics",
-) -> str:
-    """The full ASCII deep dive of one link-state snapshot.
-
-    Per run: the window summary line, the credit-stall ranking table,
-    the backpressure tree, the link-by-window forwarded-flits heatmap,
-    and (with a trace snapshot) the hot-link path attribution.  Pure
-    function of the snapshots — byte-deterministic.
-    """
-    from repro.report.ascii import (
-        congestion_tree_text,
-        linkstate_heatmap,
-        stall_attribution_table,
-    )
-
-    _check(snap)
-    n_runs = int(snap["n_runs"])
-    lines = [
-        f"{title}: {n_runs} run(s), {int(snap['n_windows'])} window(s) of "
-        f"{int(snap['window'])} cycles, {int(snap['n_links'])} links"
-    ]
-    attribution = (
-        link_path_attribution(snap, trace) if trace is not None else None
-    )
-    run_ids = range(n_runs) if run is None else [run]
-    for r in run_ids:
-        if not 0 <= r < n_runs:
-            raise ConfigurationError(
-                f"run {r} out of range (snapshot has {n_runs} runs)"
-            )
-        w = run_windows(snap, r)
-        fwd, stl = w["forwarded"], w["credit_stalls"]
-        lines.append("")
-        lines.append(
-            f"== run {r}: {run_label(snap, r)} — {len(w['start'])} windows, "
-            f"{int(fwd.sum())} flits forwarded, "
-            f"{int(stl.sum())} credit stalls, "
-            f"peak occupancy {int(w['peak_occupancy'].max()) if fwd.size else 0}"
-        )
-        onset = congestion_onset(snap, r)
-        if onset is not None:
-            conv = (
-                f"converged at window {onset['converged_at']}"
-                if onset["converged_at"] is not None
-                else "never converged"
-            )
-            lines.append(
-                f"   congestion onset: window {onset['onset_window']} "
-                f"(cycle {onset['onset_cycle']}) — stall plateau "
-                f"{onset['plateau']:.1f}/window, {conv}"
-            )
-        else:
-            lines.append("   congestion onset: none (no sustained stalls)")
-        ranked = rank_stalled_links(snap, r, top=top)
-        lines.append("")
-        if ranked:
-            lines.append(stall_attribution_table(ranked))
-            tree = congestion_tree(snap, r, max_depth=depth)
-            if tree is not None:
-                lines.append("")
-                lines.append(congestion_tree_text(tree))
-        else:
-            lines.append("   no credit stalls recorded")
-        # Heatmap over the run's hottest links by forwarded flits.
-        if fwd.size:
-            per_link = fwd.sum(axis=0)
-            hot = np.lexsort((np.arange(len(per_link)), -per_link))[:top]
-            hot = [int(h) for h in hot if per_link[h] > 0]
-            if hot:
-                src = np.asarray(snap["link_src"], dtype=np.int64)
-                dst = np.asarray(snap["link_dst"], dtype=np.int64)
-                lines.append("")
-                lines.append(
-                    linkstate_heatmap(
-                        [fwd[:, h].tolist() for h in hot],
-                        [link_label(src[h], dst[h]) for h in hot],
-                        title=f"   flits forwarded per {int(snap['window'])}"
-                        "-cycle window (hottest links)",
-                    )
-                )
-        if attribution is not None and ranked:
-            lines.append("")
-            lines.append("   hot-link path attribution (traced packets):")
-            for entry in ranked[: min(3, len(ranked))]:
-                doc = attribution.get(entry["link"])
-                if doc is None:
-                    lines.append(
-                        f"     {entry['label']}: no traced packets crossed it"
-                    )
-                    continue
-                paths = sorted(
-                    doc["paths"].items(), key=lambda kv: (-kv[1], kv[0])
-                )[:4]
-                parts = ", ".join(
-                    f"{lab} path#{idx}: {n}" for (lab, idx), n in paths
-                )
-                lines.append(
-                    f"     {entry['label']}: {doc['packets']} traced "
-                    f"crossings — {parts}"
-                )
-    return "\n".join(lines)
-
-
-# ------------------------------------------------------------- HTML input
-def _run_latency(
-    snap: Mapping, timeseries: Optional[Mapping], run: int
-) -> Optional[List[float]]:
-    """Per-window mean latency of the matching time-series run, if any."""
-    if timeseries is None:
-        return None
-    ts_runs = timeseries.get("runs", [])
-    ls_runs = snap.get("runs", [])
-    if len(ts_runs) != len(ls_runs) or not 0 <= run < len(ts_runs):
-        return None
-    for key in ("scheme", "mechanism", "rate"):
-        if ts_runs[run].get(key) != ls_runs[run].get(key):
-            return None
-    from repro.obs.timeseries import run_series
-
-    return [float(v) for v in run_series(timeseries, run)["latency"]]
-
-
+# ----------------------------------------------------------- the document
 def deep_dive_docs(
     snap: Mapping,
     *,
@@ -505,10 +405,15 @@ def deep_dive_docs(
     top: int = 8,
     depth: int = 3,
 ) -> dict:
-    """Prepare one snapshot's plain-data document for the HTML renderer.
+    """Analyse one snapshot once, into the plain-data deep-dive document.
 
-    Everything :func:`repro.report.export.forensics_html` needs, as
-    JSON-able plain structures — the renderer stays a pure template.
+    Per run: window totals, the ``top`` stall ranking, the backpressure
+    tree (``depth`` levels), the congestion onset, the hottest links'
+    window rows, the latency strip of the matching time-series run, and
+    (with a trace) the traced path attribution of the three most-stalled
+    links — ``packets: 0`` when no traced packet crossed one.  Both
+    :func:`forensics_report` and :func:`repro.report.export.forensics_html`
+    render this document; it is JSON-able plain structures.
     """
     _check(snap)
     src = np.asarray(snap["link_src"], dtype=np.int64)
@@ -526,23 +431,22 @@ def deep_dive_docs(
         ranked = rank_stalled_links(snap, r, top=top)
         hot_paths = []
         if attribution is not None:
-            for entry in ranked[: min(3, len(ranked))]:
-                doc = attribution.get(entry["link"])
-                if doc is None:
-                    continue
+            for entry in ranked[:3]:
+                hit = attribution.get(entry["link"], {"packets": 0, "paths": {}})
                 paths = sorted(
-                    doc["paths"].items(), key=lambda kv: (-kv[1], kv[0])
+                    hit["paths"].items(), key=lambda kv: (-kv[1], kv[0])
                 )[:4]
                 hot_paths.append(
                     {
                         "label": entry["label"],
-                        "packets": doc["packets"],
+                        "packets": hit["packets"],
                         "paths": [
                             {"series": lab, "path_index": idx, "count": n}
                             for (lab, idx), n in paths
                         ],
                     }
                 )
+        ts_run = match_run(snap, r, timeseries) if timeseries is not None else None
         runs.append(
             {
                 "run": r,
@@ -550,26 +454,134 @@ def deep_dive_docs(
                 "meta": dict(snap["runs"][r]),
                 "n_windows": int(len(w["start"])),
                 "starts": w["start"].tolist(),
-                "forwarded_total": int(fwd.sum()) if fwd.size else 0,
-                "stall_total": int(stl.sum()) if stl.size else 0,
-                "peak_max": int(w["peak_occupancy"].max()) if fwd.size else 0,
+                "forwarded_total": int(fwd.sum()),
+                "stall_total": int(stl.sum()),
+                "peak_max": int(w["peak_occupancy"].max(initial=0)),
                 "heat_labels": [link_label(src[h], dst[h]) for h in hot],
                 "heat_rows": [fwd[:, h].tolist() for h in hot],
                 "stall_rows": [stl[:, h].tolist() for h in hot],
                 "ranked": ranked,
                 "tree": congestion_tree(snap, r, max_depth=depth),
                 "onset": congestion_onset(snap, r),
-                "latency": _run_latency(snap, timeseries, r),
+                "latency": (
+                    [float(v) for v in run_series(timeseries, ts_run)["latency"]]
+                    if ts_run is not None
+                    else None
+                ),
                 "hot_paths": hot_paths,
             }
         )
     return {
         "name": name,
+        "n_runs": int(snap["n_runs"]),
         "window": int(snap["window"]),
         "n_links": int(snap["n_links"]),
         "n_windows": int(snap["n_windows"]),
         "runs": runs,
     }
+
+
+def _select(doc: Mapping, run: Optional[int]) -> Mapping:
+    """``doc`` narrowed to run ``run`` (``None`` keeps every run)."""
+    if run is None:
+        return doc
+    if not 0 <= run < doc["n_runs"]:
+        raise ConfigurationError(
+            f"run {run} out of range (snapshot has {doc['n_runs']} runs)"
+        )
+    return dict(doc, runs=[doc["runs"][run]])
+
+
+# ----------------------------------------------------------- ASCII report
+def forensics_report(
+    snap: Mapping,
+    *,
+    trace: Optional[Mapping] = None,
+    timeseries: Optional[Mapping] = None,
+    run: Optional[int] = None,
+    top: int = 8,
+    depth: int = 3,
+    title: str = "congestion forensics",
+) -> str:
+    """The full ASCII deep dive of one link-state snapshot.
+
+    Per run: the window summary line, the credit-stall ranking table,
+    the backpressure tree, the link-by-window forwarded-flits heatmap,
+    and (with a trace snapshot) the hot-link path attribution.  Renders
+    the :func:`deep_dive_docs` document — byte-deterministic.
+    """
+    doc = deep_dive_docs(
+        snap, trace=trace, timeseries=timeseries, top=top, depth=depth
+    )
+    return _text(_select(doc, run), title)
+
+
+def _text(doc: Mapping, title: str) -> str:
+    """Render a :func:`deep_dive_docs` document as the ASCII deep dive."""
+    from repro.report.ascii import (
+        congestion_tree_text,
+        linkstate_heatmap,
+        stall_attribution_table,
+    )
+
+    lines = [
+        f"{title}: {doc['n_runs']} run(s), {doc['n_windows']} window(s) of "
+        f"{doc['window']} cycles, {doc['n_links']} links"
+    ]
+    for run in doc["runs"]:
+        lines += [
+            "",
+            f"== run {run['run']}: {run['label']} — {run['n_windows']} "
+            f"windows, {run['forwarded_total']} flits forwarded, "
+            f"{run['stall_total']} credit stalls, "
+            f"peak occupancy {run['peak_max']}",
+        ]
+        onset = run["onset"]
+        if onset is not None:
+            conv = (
+                f"converged at window {onset['converged_at']}"
+                if onset["converged_at"] is not None
+                else "never converged"
+            )
+            lines.append(
+                f"   congestion onset: window {onset['onset_window']} "
+                f"(cycle {onset['onset_cycle']}) — stall plateau "
+                f"{onset['plateau']:.1f}/window, {conv}"
+            )
+        else:
+            lines.append("   congestion onset: none (no sustained stalls)")
+        lines.append("")
+        if run["ranked"]:
+            lines.append(stall_attribution_table(run["ranked"]))
+            if run["tree"] is not None:
+                lines += ["", congestion_tree_text(run["tree"])]
+        else:
+            lines.append("   no credit stalls recorded")
+        if run["heat_rows"]:
+            lines += [
+                "",
+                linkstate_heatmap(
+                    run["heat_rows"],
+                    run["heat_labels"],
+                    title=f"   flits forwarded per {doc['window']}"
+                    "-cycle window (hottest links)",
+                ),
+            ]
+        if run["hot_paths"]:
+            lines += ["", "   hot-link path attribution (traced packets):"]
+        for hp in run["hot_paths"]:
+            if not hp["packets"]:
+                lines.append(f"     {hp['label']}: no traced packets crossed it")
+                continue
+            parts = ", ".join(
+                f"{p['series']} path#{p['path_index']}: {p['count']}"
+                for p in hp["paths"]
+            )
+            lines.append(
+                f"     {hp['label']}: {hp['packets']} traced "
+                f"crossings — {parts}"
+            )
+    return "\n".join(lines)
 
 
 # ------------------------------------------------------------------- CLI
@@ -607,69 +619,80 @@ def main(argv=None) -> int:
         parser.error("--top must be >= 1")
     if args.depth < 0:
         parser.error("--depth must be >= 0")
+    from repro.report.export import forensics_html
 
+    def build(path: Path, stem: str) -> dict:
+        return deep_dive_docs(
+            load_linkstate(path),
+            name=stem,
+            trace=_sibling(path.with_name(stem + ".trace.npz"), load_trace),
+            timeseries=_sibling(
+                path.with_name(stem + ".timeseries.npz"), load_timeseries
+            ),
+            top=args.top,
+            depth=args.depth,
+        )
+
+    return _cli(
+        args, prog="inspect", suffix=".linkstate.npz", build=build,
+        text=lambda doc: _text(doc, f"congestion forensics [{doc['name']}]"),
+        html=forensics_html, tag="deep dive",
+    )
+
+
+def _cli(
+    args: argparse.Namespace,
+    *,
+    prog: str,
+    suffix: str,
+    build: Callable[[Path, str], dict],
+    text: Callable[[Mapping], str],
+    html: Callable[[Sequence[Mapping]], str],
+    tag: str,
+) -> int:
+    """The body the ``inspect`` and ``flows`` CLIs share.
+
+    Walks ``args.path`` for ``*<suffix>`` artifacts, builds each one's
+    document once with ``build(path, stem)``, prints its ``text``
+    rendering (narrowed to ``args.run``) and a blank line, and writes
+    all documents' ``html`` page to ``args.html``.  An unusable artifact
+    or ``--run`` prints ``<prog>: <why>`` and exits 2.
+    """
     root = Path(args.path)
     if root.is_file():
         files = [root]
     elif root.is_dir():
-        files = sorted(root.glob("*.linkstate.npz"))
+        files = sorted(root.glob(f"*{suffix}"))
     else:
-        print(f"inspect: {root} does not exist")
+        print(f"{prog}: {root} does not exist")
         return 2
     if not files:
-        print(f"inspect: no *.linkstate.npz artifacts under {root}")
+        print(f"{prog}: no *{suffix} artifacts under {root}")
         return 2
-
     docs = []
     for path in files:
         try:
-            snap = load_linkstate(path)
+            doc = build(path, path.name[: -len(suffix)])
+            print(text(_select(doc, args.run)))
         except ConfigurationError as exc:
-            print(f"inspect: {exc}")
+            print(f"{prog}: {exc}")
             return 2
-        stem = path.name[: -len(".linkstate.npz")]
-        trace = _sibling(path, stem, ".trace.npz")
-        ts = _sibling(path, stem, ".timeseries.npz")
-        print(
-            forensics_report(
-                snap,
-                trace=trace,
-                timeseries=ts,
-                run=args.run,
-                top=args.top,
-                depth=args.depth,
-                title=f"congestion forensics [{stem}]",
-            )
-        )
         print()
-        docs.append(
-            deep_dive_docs(
-                snap, name=stem, trace=trace, timeseries=ts,
-                top=args.top, depth=args.depth,
-            )
-        )
+        docs.append(doc)
     if args.html is not None:
-        from repro.report.export import forensics_html
-
         out = Path(args.html)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(forensics_html(docs))
-        print(f"# deep dive: {out}")
+        out.write_text(html(docs))
+        print(f"# {tag}: {out}")
     return 0
 
 
-def _sibling(path: Path, stem: str, suffix: str) -> Optional[dict]:
-    """Load the sibling trace/time-series artifact, or None if absent."""
-    sib = path.with_name(stem + suffix)
-    if not sib.exists():
+def _sibling(path: Path, load: Callable[[Path], dict]) -> Optional[dict]:
+    """``load(path)`` of an optional sibling artifact, or ``None`` when
+    it is absent or unreadable."""
+    if not path.exists():
         return None
     try:
-        if suffix == ".trace.npz":
-            from repro.obs.trace import load_trace
-
-            return load_trace(sib)
-        from repro.obs.timeseries import load_timeseries
-
-        return load_timeseries(sib)
+        return load(path)
     except (ConfigurationError, OSError, ValueError):
         return None

@@ -507,7 +507,9 @@ def fairness_table(
     *,
     title: str = "per-run flow fairness",
 ) -> str:
-    """Tabulate per-run rollups from :func:`repro.obs.fairness.run_summary`."""
+    """Tabulate per-run rollups: :func:`repro.obs.fairness.run_summary`
+    results or the runs of a :func:`repro.obs.fairness.flow_docs`
+    document (both carry ``victim_total``)."""
     if not summaries:
         return f"{title}: (no runs)"
 
@@ -524,7 +526,7 @@ def fairness_table(
             _f(s["median_p99"]),
             _f(s["worst"]["p99"]) if s["worst"] is not None else "-",
             _f(s["spread"], ".2f"),
-            len(s["victims"]),
+            int(s["victim_total"]),
         ]
         for s in summaries
     ]

@@ -133,6 +133,36 @@ def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _page(title: str, heading: str, sub: str) -> List[str]:
+    """The opening lines every page shares: head, style, heading, lede."""
+    return [
+        "<!DOCTYPE html>",
+        '<html lang="en"><head><meta charset="utf-8"/>',
+        f"<title>repro · {title}</title>",
+        f"<style>{_DASH_CSS}</style></head><body>",
+        f"<h1>{heading}</h1>",
+        f'<p class="sub">{sub}</p>',
+    ]
+
+
+def _tiles(items: Sequence[tuple]) -> str:
+    """A row of headline stat tiles from ``(label, value[, cls])`` items.
+
+    A ``cls`` (status class, may be empty) marks a tile whose value can
+    carry a status colour; without one the value has no extra class.
+    """
+    esc = _html.escape
+    out = ['<div class="tiles">']
+    for label, value, *cls in items:
+        value_cls = f"value {cls[0]}" if cls else "value"
+        out.append(
+            f'<div class="tile"><div class="label">{esc(label)}</div>'
+            f'<div class="{value_cls}">{esc(value)}</div></div>'
+        )
+    out.append("</div>")
+    return "\n".join(out)
+
+
 def _trend_svg(values: Sequence[float], *, regressed: bool) -> str:
     """One single-series trend chart as inline SVG.
 
@@ -234,30 +264,19 @@ def trend_dashboard_html(report, entries: Sequence[Mapping]) -> str:
                 doc["latest"] = float(cps)
                 doc["best"] = max(doc["best"], float(cps))
 
-    out: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8"/>',
-        "<title>repro · run ledger dashboard</title>",
-        f"<style>{_DASH_CSS}</style></head><body>",
-        "<h1>Run ledger — trend observatory</h1>",
-        '<p class="sub">Cross-run metric trends from the persistent run '
-        "ledger; regressions gate per-host against the window median and "
-        "sustained changepoints.</p>",
-    ]
-
-    reg_cls = "bad" if n_reg else "ok"
-    out.append('<div class="tiles">')
-    for label, value, cls in (
+    out = _page(
+        "run ledger dashboard",
+        "Run ledger — trend observatory",
+        "Cross-run metric trends from the persistent run ledger; "
+        "regressions gate per-host against the window median and "
+        "sustained changepoints.",
+    )
+    out.append(_tiles([
         ("Ledger entries", str(report.n_entries), ""),
         ("Series", str(report.n_series), ""),
-        ("Trend regressions", str(n_reg), reg_cls),
+        ("Trend regressions", str(n_reg), "bad" if n_reg else "ok"),
         ("Engine tiers", str(len(engines)), ""),
-    ):
-        out.append(
-            f'<div class="tile"><div class="label">{esc(label)}</div>'
-            f'<div class="value {cls}">{esc(value)}</div></div>'
-        )
-    out.append("</div>")
+    ]))
 
     if report.regressions or report.notes:
         out.append("<h2>Callouts</h2>")
@@ -441,48 +460,33 @@ def forensics_html(docs: Sequence[Mapping]) -> str:
     randomness — so the page is byte-identical across renders.
     """
     esc = _html.escape
-    out: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8"/>',
-        "<title>repro · congestion deep dive</title>",
-        f"<style>{_DASH_CSS}</style></head><body>",
-        "<h1>Congestion forensics — per-run deep dive</h1>",
-        '<p class="sub">Dense link-state telemetry: where the flits '
-        "went, where the credit stalls piled up, and which upstream "
-        "links the backpressure wave reached.</p>",
-    ]
+    out = _page(
+        "congestion deep dive",
+        "Congestion forensics — per-run deep dive",
+        "Dense link-state telemetry: where the flits went, where the "
+        "credit stalls piled up, and which upstream links the "
+        "backpressure wave reached.",
+    )
     for doc in docs:
         out.append(f"<h2>{esc(str(doc['name']))}</h2>")
-        out.append('<div class="tiles">')
-        for label, value in (
-            ("Runs", str(len(doc["runs"]))),
+        out.append(_tiles([
+            ("Runs", str(int(doc["n_runs"]))),
             ("Windows", str(int(doc["n_windows"]))),
             ("Window cycles", str(int(doc["window"]))),
             ("Links", str(int(doc["n_links"]))),
-        ):
-            out.append(
-                f'<div class="tile"><div class="label">{esc(label)}</div>'
-                f'<div class="value">{esc(value)}</div></div>'
-            )
-        out.append("</div>")
+        ]))
         for run in doc["runs"]:
             out.append(
                 f"<h2>run {int(run['run'])} · {esc(str(run['label']))}</h2>"
             )
             onset = run.get("onset")
             stall_cls = "bad" if run["stall_total"] else "ok"
-            out.append('<div class="tiles">')
-            for label, value, cls in (
+            out.append(_tiles([
                 ("Windows", str(int(run["n_windows"])), ""),
                 ("Flits forwarded", _fmt(float(run["forwarded_total"])), ""),
                 ("Credit stalls", _fmt(float(run["stall_total"])), stall_cls),
                 ("Peak occupancy", str(int(run["peak_max"])), ""),
-            ):
-                out.append(
-                    f'<div class="tile"><div class="label">{esc(label)}'
-                    f'</div><div class="value {cls}">{esc(value)}</div></div>'
-                )
-            out.append("</div>")
+            ]))
             if onset is not None:
                 out.append(
                     f'<div class="callout"><span class="tag">congestion '
@@ -543,8 +547,10 @@ def forensics_html(docs: Sequence[Mapping]) -> str:
                     )
                     + "</table></details>"
                 )
-            hot_paths = run.get("hot_paths") or ()
-            for hp in hot_paths:
+            # Ranked links no traced packet crossed stay out of the page.
+            for hp in run.get("hot_paths") or ():
+                if not hp["packets"]:
+                    continue
                 parts = ", ".join(
                     f"{esc(str(p['series']))} path#{int(p['path_index'])}: "
                     f"{int(p['count'])}"
@@ -571,49 +577,34 @@ def flowstats_html(docs: Sequence[Mapping]) -> str:
     renders.
     """
     esc = _html.escape
-    out: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8"/>',
-        "<title>repro · flow-level SLOs</title>",
-        f"<style>{_DASH_CSS}</style></head><body>",
-        "<h1>Flow-level SLO observatory</h1>",
-        '<p class="sub">Per-(src,dst)-pair latency digests: who paid '
-        "for the good average — fairness indices, tail spread, and the "
-        "victim flows a mean-only comparison hides.</p>",
-    ]
+    out = _page(
+        "flow-level SLOs",
+        "Flow-level SLO observatory",
+        "Per-(src,dst)-pair latency digests: who paid for the good "
+        "average — fairness indices, tail spread, and the victim flows a "
+        "mean-only comparison hides.",
+    )
     for doc in docs:
         out.append(f"<h2>{esc(str(doc['name']))}</h2>")
-        out.append('<div class="tiles">')
-        for label, value in (
+        out.append(_tiles([
             ("Runs", str(int(doc["n_runs"]))),
             ("Hosts", str(int(doc["n_hosts"]))),
             ("Pairs", str(int(doc["n_pairs"]))),
             ("Histogram bins", str(int(doc["n_bins"]))),
-        ):
-            out.append(
-                f'<div class="tile"><div class="label">{esc(label)}</div>'
-                f'<div class="value">{esc(value)}</div></div>'
-            )
-        out.append("</div>")
+        ]))
         for run in doc["runs"]:
             out.append(
                 f"<h2>run {int(run['run'])} · {esc(str(run['label']))}</h2>"
             )
             victim_cls = "bad" if run["victims"] else "ok"
-            out.append('<div class="tiles">')
-            for label, value, cls in (
+            out.append(_tiles([
                 ("Active pairs", str(int(run["pairs_active"])), ""),
                 ("Delivered", _fmt(float(run["delivered"])), ""),
                 ("Jain index", _fmt(float(run["jain"])), ""),
                 ("p99 median", _fmt(float(run["median_p99"])), ""),
                 ("p99 spread", _fmt(float(run["spread"])), ""),
                 ("Victim pairs", str(int(run["victim_total"])), victim_cls),
-            ):
-                out.append(
-                    f'<div class="tile"><div class="label">{esc(label)}'
-                    f'</div><div class="value {cls}">{esc(value)}</div></div>'
-                )
-            out.append("</div>")
+            ]))
             attribution = {
                 int(a["pair"]): a for a in run.get("attribution") or ()
             }

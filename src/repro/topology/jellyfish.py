@@ -120,14 +120,6 @@ class Jellyfish:
             self._kernels = GraphKernels(self.adjacency)
         return self._kernels
 
-    def csr_arrays(self):
-        """The switch graph in CSR form: ``(indptr, indices)`` int64 arrays.
-
-        ``indices[indptr[u]:indptr[u+1]]`` are the (sorted) neighbours of
-        switch ``u`` — the layout the vectorized BFS kernels consume.
-        """
-        return self.kernels.csr()
-
     # ------------------------------------------------------------------ ids
     def switch_of_host(self, host: int) -> int:
         """Switch that host ``host`` attaches to (linear layout)."""

@@ -7,6 +7,8 @@ HTML report is byte-deterministic, and ``runs gate`` exits non-zero on
 an injected >= 30% p99 regression.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -249,24 +251,75 @@ class TestFlowsCLI:
         assert str(path) in capsys.readouterr().out
 
     def test_joins_sibling_linkstate(self, tmp_path, capsys):
-        from repro.obs.linkstate import save_linkstate
-
-        save_flowstats(tmp_path / "demo.flowstats.npz", _victim_snap())
-        ls = LinkstateRecorder(window=10)
-        run = ls.begin_run(
-            n_links=3, scheme="ksp", mechanism="ksp_adaptive", rate=0.4,
-        )
-        ls.set_link_endpoints([0, -3, -2], [1, 0, 0])
-        ls.record_window(
-            run, start=0, cycles=10,
-            forwarded=[5, 5, 5], credit_stalls=[30, 10, 0],
-            peak_occupancy=[2, 0, 0],
-        )
-        save_linkstate(tmp_path / "demo.linkstate.npz", ls.snapshot())
+        _save_victim_artifacts(tmp_path)
         assert fairness.main([str(tmp_path)]) == 0
         printed = capsys.readouterr().out
         assert "injection stalls 10" in printed
         assert "top stalled link s0->s1" in printed
+
+    def test_output_is_pinned(self, tmp_path, capsys):
+        """stdout and the --html page of a fixed artifact pair, byte for
+        byte."""
+        _save_victim_artifacts(tmp_path)
+        out = tmp_path / "flow.html"
+        assert fairness.main([str(tmp_path), "--html", str(out)]) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        assert _sha(printed) == (
+            "d7704687cbc72fdb936e76c37e6a258f35d750172f331da56f4d476c5c75497a"
+        )
+        assert _sha(out.read_bytes()) == (
+            "3f0971a46ec14f9c119136d9916899eea5e846317f5a91b8b51bb4b2372f3cd7"
+        )
+
+    def test_run_out_of_range_exits_two(self, tmp_path, capsys):
+        save_flowstats(tmp_path / "demo.flowstats.npz", _victim_snap())
+        assert fairness.main([str(tmp_path), "--run", "99"]) == 2
+        assert "out of range" in capsys.readouterr().out
+
+    def test_analyses_each_run_once(self, tmp_path, capsys, monkeypatch):
+        """One document per artifact: text and HTML share one analysis."""
+        calls = []
+        pair_stats = fairness.pair_stats
+
+        def counted(snap, run):
+            calls.append(run)
+            return pair_stats(snap, run)
+
+        monkeypatch.setattr(fairness, "pair_stats", counted)
+        events = [(p, 10) for p in range(7)] + [(7, 30), (8, 12)]
+        metas = [
+            {"scheme": "ksp", "mechanism": "ksp_adaptive", "rate": r}
+            for r in (0.2, 0.4, 0.6)
+        ]
+        save_flowstats(tmp_path / "demo.flowstats.npz", _snap([events] * 3, metas))
+        out = tmp_path / "flow.html"
+        assert fairness.main([str(tmp_path), "--html", str(out)]) == 0
+        capsys.readouterr()
+        assert calls == [0, 1, 2]
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(
+        data.encode() if isinstance(data, str) else data
+    ).hexdigest()
+
+
+def _save_victim_artifacts(tmp_path):
+    """``_victim_snap`` plus a link-state sibling whose run matches it."""
+    from repro.obs.linkstate import save_linkstate
+
+    save_flowstats(tmp_path / "demo.flowstats.npz", _victim_snap())
+    ls = LinkstateRecorder(window=10)
+    run = ls.begin_run(
+        n_links=3, scheme="ksp", mechanism="ksp_adaptive", rate=0.4,
+    )
+    ls.set_link_endpoints([0, -3, -2], [1, 0, 0])
+    ls.record_window(
+        run, start=0, cycles=10,
+        forwarded=[5, 5, 5], credit_stalls=[30, 10, 0],
+        peak_occupancy=[2, 0, 0],
+    )
+    save_linkstate(tmp_path / "demo.linkstate.npz", ls.snapshot())
 
 
 # ------------------------------------- derived gauges downstream paths

@@ -8,13 +8,15 @@ detection, the trace/path-cache joins, and byte-deterministic
 ASCII/HTML renders from one live telemetry run.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import Jellyfish, PathCache
 from repro.errors import ConfigurationError
 from repro.netsim import SimConfig, Simulator, UniformTraffic
-from repro.obs import linkstate, trace
+from repro.obs import forensics, linkstate, trace
 from repro.obs.forensics import (
     congestion_onset,
     congestion_tree,
@@ -66,22 +68,24 @@ LINKS = [
 ]
 
 
-def _bottleneck_snap(stall_rows, *, window=100, forwarded=None):
-    """A snapshot over LINKS with the given per-window stall vectors."""
+def _bottleneck_snap(stall_rows, *, window=100, forwarded=None, rates=(0.5,)):
+    """A snapshot over LINKS with the given per-window stall vectors,
+    one run per rate."""
     rec = LinkstateRecorder(window=window)
     n = len(LINKS)
-    run = rec.begin_run(
-        scheme="redksp", mechanism="ksp_adaptive", rate=0.5,
-        n_hosts=2, n_links=n, warmup_cycles=0, channel_latency=1,
-    )
-    rec.set_link_endpoints([u for u, _ in LINKS], [v for _, v in LINKS])
-    for i, stalls in enumerate(stall_rows):
-        rec.record_window(
-            run, start=i * window, cycles=window,
-            forwarded=forwarded if forwarded is not None else [10] * n,
-            credit_stalls=stalls,
-            peak_occupancy=[3] * n,
+    for rate in rates:
+        run = rec.begin_run(
+            scheme="redksp", mechanism="ksp_adaptive", rate=rate,
+            n_hosts=2, n_links=n, warmup_cycles=0, channel_latency=1,
         )
+        rec.set_link_endpoints([u for u, _ in LINKS], [v for _, v in LINKS])
+        for i, stalls in enumerate(stall_rows):
+            rec.record_window(
+                run, start=i * window, cycles=window,
+                forwarded=forwarded if forwarded is not None else [10] * n,
+                credit_stalls=stalls,
+                peak_occupancy=[3] * n,
+            )
     return rec.snapshot()
 
 
@@ -306,6 +310,40 @@ def test_forensics_html_deterministic(live):
     assert "Flits forwarded" in a and "Credit stalls" in a
 
 
+def test_latency_strip_joins_the_matching_timeseries_run():
+    """The strip comes from the time-series run with the same meta, even
+    when the two artifacts recorded different run sequences."""
+    from repro.obs.timeseries import TimeseriesRecorder
+
+    ts = TimeseriesRecorder(window=100)
+    for scheme in ("ksp", "redksp"):  # the decoy run first
+        run = ts.begin_run(scheme=scheme, mechanism="ksp_adaptive", rate=0.5)
+        ts.record_window(
+            run, start=0, cycles=100, injected=2, ejected=2,
+            lat_sum=90 if scheme == "redksp" else 10,
+            credit_stalls=0, forwarded=4, occupancy=0,
+        )
+    snap = _bottleneck_snap([[40, 100, 0, 0, 200, 0, 0, 0]])
+    doc = deep_dive_docs(snap, timeseries=ts.snapshot())
+    assert doc["runs"][0]["latency"] == [45.0]
+    assert "mean packet latency per window" in forensics_html([doc])
+
+
+def test_hot_paths_keep_uncrossed_links_for_the_text_only():
+    """A ranked link no traced packet crossed stays in the document (so
+    the text can say so) and out of the HTML page."""
+    from repro.obs.trace import TraceRecorder
+
+    snap = _bottleneck_snap([[40, 100, 0, 0, 200, 0, 0, 0]])
+    doc = deep_dive_docs(snap, trace=TraceRecorder().snapshot())
+    hot = doc["runs"][0]["hot_paths"]
+    assert [hp["label"] for hp in hot] == ["h0->s0", "s1->s2", "s0->s1"]
+    assert all(hp["packets"] == 0 and hp["paths"] == [] for hp in hot)
+    assert "h0-&gt;s0: 0 traced" not in forensics_html([doc])
+    text = forensics_report(snap, trace=TraceRecorder().snapshot())
+    assert "     h0->s0: no traced packets crossed it" in text
+
+
 def test_tree_renders_in_html():
     snap = _bottleneck_snap([[40, 100, 0, 0, 200, 0, 0, 0]])
     page = forensics_html([deep_dive_docs(snap, name="bottleneck")])
@@ -338,6 +376,75 @@ def test_inspect_cli_exit_codes(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().out
     assert inspect_main([str(tmp_path)]) == 2
     assert "no *.linkstate.npz" in capsys.readouterr().out
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(
+        data.encode() if isinstance(data, str) else data
+    ).hexdigest()
+
+
+def test_inspect_cli_output_is_pinned(tmp_path, capsys):
+    """stdout and the --html page of a fixed artifact, byte for byte:
+    two runs with an onset and a tree, plus an (empty) trace sibling."""
+    rows = [[0] * len(LINKS)] + [[40, 100, 0, 0, 200, 0, 0, 0]] * 5
+    save_linkstate(
+        tmp_path / "bottleneck-small.linkstate.npz",
+        _bottleneck_snap(rows, rates=(0.3, 0.5)),
+    )
+    trace.save_trace(
+        tmp_path / "bottleneck-small.trace.npz", trace.TraceRecorder().snapshot()
+    )
+    out = tmp_path / "deep.html"
+    assert inspect_main([str(tmp_path), "--html", str(out)]) == 0
+    printed = capsys.readouterr().out.replace(str(out), "OUT")
+    assert "no traced packets crossed it" in printed
+    assert _sha(printed) == (
+        "1006eed07960aff1b442a96a49f76722e48600aa2005ded4135d58267db851f6"
+    )
+    assert _sha(out.read_bytes()) == (
+        "af9c38bbff9b1342d417e969cf789d795294e265761f5ef9dd356c7aecd7b2df"
+    )
+    assert inspect_main([str(tmp_path), "--run", "1"]) == 0
+    assert _sha(capsys.readouterr().out) == (
+        "6a2c537c8e52e4607cbf6c30a086ce0a69899a75d61d7d28ae19bf968beae3ae"
+    )
+
+
+def test_inspect_cli_run_out_of_range_exits_two(tmp_path, capsys):
+    save_linkstate(
+        tmp_path / "x-small.linkstate.npz", _bottleneck_snap([[0] * len(LINKS)])
+    )
+    assert inspect_main([str(tmp_path), "--run", "99"]) == 2
+    assert "out of range" in capsys.readouterr().out
+
+
+def test_inspect_cli_analyses_each_run_once(tmp_path, capsys, monkeypatch):
+    """One document per artifact: text and HTML share one analysis."""
+    calls = {}
+
+    def counted(name):
+        fn = getattr(forensics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(forensics, name, wrapper)
+
+    for name in ("congestion_onset", "congestion_tree", "rank_stalled_links"):
+        counted(name)
+    rows = [[40, 100, 0, 0, 200, 0, 0, 0]] * 4
+    save_linkstate(
+        tmp_path / "x-small.linkstate.npz",
+        _bottleneck_snap(rows, rates=(0.1, 0.2, 0.3)),
+    )
+    out = tmp_path / "deep.html"
+    assert inspect_main([str(tmp_path), "--html", str(out)]) == 0
+    capsys.readouterr()
+    assert calls == {
+        "congestion_onset": 3, "congestion_tree": 3, "rank_stalled_links": 3,
+    }
 
 
 def test_inspect_cli_skips_unreadable_sibling(tmp_path, capsys):
