@@ -7,7 +7,7 @@ and a throughput bar chart (Figure 4) — then exports both to JSON/CSV.
 
 Run with::
 
-    python examples/figures_report.py        (~2-3 minutes)
+    python examples/figures_report.py        (~10 seconds)
 """
 
 import tempfile

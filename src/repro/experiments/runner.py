@@ -280,6 +280,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     obs_log.set_level(args.log_level)
+    if args.processes < 1:
+        parser.error("--processes must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     telemetry_dir = Path(args.telemetry_dir) if args.telemetry_dir else None
     if args.trace_sample is not None:
         if args.trace_sample < 1:

@@ -78,11 +78,15 @@ from repro.netsim.fastcore import (
 )
 from repro.netsim.mechanisms import make_mechanism
 from repro.netsim.network import NetworkWiring
-from repro.netsim.stats import latency_percentiles, stamp_latency_gauges
 from repro.netsim.simulator import (
     PatternTraffic,
     SimResult,
+    Simulator,
     UniformTraffic,
+    build_result,
+    close_run,
+    publish_run,
+    register_run,
 )
 from repro.obs import flowstats as obs_flowstats
 from repro.obs import linkstate as obs_linkstate
@@ -230,25 +234,14 @@ class BatchSimulator:
         self._pre_snaps: List[dict] = []
         self._mech_names: List[str] = []
         n_vcs_per_lane: List[int] = []
-        occ_dummy = np.zeros(topology.n_links, dtype=np.int64)
         for lane in self.lanes:
-            rng = ensure_rng(lane.seed)
             with metrics.capture() as mreg:
                 paths.precompute(lane.traffic.switch_pairs(topology))
-                mech = make_mechanism(
-                    lane.mechanism,
-                    self.wiring,
-                    paths,
-                    occ_dummy,
-                    rng,
-                    estimate=config.adaptive_estimate,
-                    channel_latency=config.channel_latency,
-                )
             self._pre_snaps.append(mreg.snapshot())
             n_vcs_per_lane.append(
-                max(paths.max_hops(), mech.max_route_hops()) + 1
+                lane_vc_count(topology, paths, lane.mechanism, config)
             )
-            self.rngs.append(rng)
+            self.rngs.append(ensure_rng(lane.seed))
             self._rates.append(float(lane.injection_rate))
             self._traffics.append(lane.traffic)
             self._mech_names.append(lane.mechanism)
@@ -403,7 +396,7 @@ class BatchSimulator:
         self._lane_hits = np.zeros(N, dtype=np.int64)
         self._lazy_snaps: List[List[dict]] = [[] for _ in range(N)]
         self._draining = False
-        self._pub: Optional[dict] = None
+        self._pub: Optional[tuple] = None
         self._occ_samples: List[List[int]] = [[] for _ in range(N)]
         self._measure_start = config.warmup_cycles
         self._sample_sums = np.zeros((N, config.n_samples), dtype=np.float64)
@@ -421,20 +414,7 @@ class BatchSimulator:
         self._win_start = 0
         self._win_next = ts.window if ts is not None else 0
         self._ts_rows: List[List[dict]] = [[] for _ in range(N)]
-        self._ts_ann: Optional[dict] = None
-        scheme = getattr(paths.selector, "name", "unknown")
-        self._scheme = scheme
-        self._ts_meta = [
-            dict(
-                scheme=scheme,
-                mechanism=self._mech_names[i],
-                rate=self._rates[i],
-                n_hosts=n_hosts,
-                warmup_cycles=config.warmup_cycles,
-                channel_latency=config.channel_latency,
-            )
-            for i in range(N)
-        ]
+        self._scheme = getattr(paths.selector, "name", "unknown")
         if ts is not None:
             self._ts_linkf = np.zeros(N * self._n_sl, dtype=np.int64)
             self._wp_injected = np.zeros(N, dtype=np.int64)
@@ -462,43 +442,14 @@ class BatchSimulator:
             self._ls_fwd = np.zeros(N * nlk, dtype=np.int64)
             self._ls_stall = np.zeros(N * nlk, dtype=np.int64)
             self._ls_peak = np.zeros(N * nlk, dtype=np.int64)
-            self._ls_ep = obs_linkstate.link_endpoints(topology)
-            self._ls_meta = [
-                dict(
-                    scheme=scheme,
-                    mechanism=self._mech_names[i],
-                    rate=self._rates[i],
-                    n_hosts=n_hosts,
-                    n_links=nlk,
-                    warmup_cycles=config.warmup_cycles,
-                    channel_latency=config.channel_latency,
-                )
-                for i in range(N)
-            ]
         else:
             self._ls_fwd = self._ls_stall = self._ls_peak = None
 
         # Per-(src,dst) flow capture: ejections tally their pair id next
         # to the measured-latency samples, split per lane and replayed
         # into the recorder at publish time like the rows above.
-        fsr = obs_flowstats.active()
-        self._fs_on = fsr is not None
+        self._fs_on = obs_flowstats.active() is not None
         self._mlat_pair: List[int] = []
-        if self._fs_on:
-            self._fs_ep = obs_flowstats.pair_endpoints(n_hosts)
-            self._fs_meta = [
-                dict(
-                    scheme=scheme,
-                    mechanism=self._mech_names[i],
-                    rate=self._rates[i],
-                    n_hosts=n_hosts,
-                    n_pairs=n_hosts * n_hosts,
-                    n_bins=obs_flowstats.latency_bins(config),
-                    warmup_cycles=config.warmup_cycles,
-                    channel_latency=config.channel_latency,
-                )
-                for i in range(N)
-            ]
 
         # Allocation scratch reused across slots and cycles.
         self._port_cands: List[List[Tuple[int, int]]] = [
@@ -668,7 +619,7 @@ class BatchSimulator:
             if new.any():
                 self._refresh_memo(idx[new], qpids[new])
 
-    def _inject_all(self, now: int) -> None:
+    def _inject(self, now: int) -> None:
         for lane in self._live:
             rng = self.rngs[lane]
             hosts = self._hosts[lane]
@@ -701,7 +652,7 @@ class BatchSimulator:
             self._injected[lane] += len(srcs)
             self._n_sourced[lane] += len(srcs)
 
-    def _launch_all(self, now: int) -> None:
+    def _launch_from_sources(self, now: int) -> None:
         todo = [lane for lane in self._live if self._n_sourced[lane]]
         if not todo:
             return
@@ -1663,37 +1614,12 @@ class BatchSimulator:
         self._n_buffered -= g
 
     # ---------------------------------------------------------------- run
-    def _advance(self, start: int, stop: int) -> None:
-        if self._ts is None and self._ls is None:
-            for now in range(start, stop):
-                self._process_arrivals(now)
-                self._inject_all(now)
-                self._launch_all(now)
-                self._allocate(now)
-            return
-        cur = start
-        ls_on = self._ls is not None
-        while cur < stop:
-            nxt = stop
-            if self._ts is not None:
-                nxt = min(nxt, self._win_next)
-            if ls_on:
-                nxt = min(nxt, self._ls_next)
-            for now in range(cur, nxt):
-                self._process_arrivals(now)
-                self._inject_all(now)
-                self._launch_all(now)
-                self._allocate(now)
-                if ls_on:
-                    # End-of-cycle peak, one vector max over the union.
-                    np.maximum(self._ls_peak, self._occ, out=self._ls_peak)
-            cur = nxt
-            if self._ts is not None and cur == self._win_next:
-                self._flush_window(cur)
-                self._win_next += self._ts.window
-            if ls_on and cur == self._ls_next:
-                self._flush_ls_window(cur)
-                self._ls_next += self._ls.window
+    #: The serial engines' window-chunked cycle loop, over every lane.
+    _advance = Simulator._advance
+
+    def _occupancy_view(self) -> np.ndarray:
+        """Live union per-link occupancy (the link-state peak reads it)."""
+        return self._occ
 
     def _buffered_per_lane(self) -> np.ndarray:
         caps = self._n_bufs * self._cap
@@ -1792,11 +1718,6 @@ class BatchSimulator:
             self._flush_window(start)  # the final, possibly partial window
         if self._ls is not None:
             self._flush_ls_window(start)
-        self._ts_ann = dict(
-            warmup_cycles_used=cfg.warmup_cycles,
-            measured_samples=cfg.n_samples,
-            steady_converged=None,
-        )
         wall = time.perf_counter() - t_wall
         # Aggregate lane-cycles per wall second (the batched tier's
         # throughput figure; manifests record it per engine).
@@ -1808,127 +1729,80 @@ class BatchSimulator:
         self._mlat_ml = np.asarray(self._mlat_lane, dtype=np.int64)
         self._mlat_vl = np.asarray(self._mlat_val, dtype=np.int64)
         self._mlat_pl = np.asarray(self._mlat_pair, dtype=np.int64)
-        self.results = [self._lane_result(lane) for lane in range(self._n)]
+        n_sl = self._n_sl
+        self.results = [
+            build_result(
+                cfg, self._rates[lane], int(self._injected[lane]),
+                int(self._delivered[lane]),
+                self._sample_sums[lane].tolist(),
+                self._sample_counts[lane].tolist(),
+                self._mlat_vl[self._mlat_ml == lane],
+                self._link_flits[lane * n_sl : (lane + 1) * n_sl],
+                len(self._hosts[lane]), cfg.warmup_cycles, None,
+            )
+            for lane in range(self._n)
+        ]
         # Freeze run-end counter values: the serial engine publishes its
         # metrics before drain(), so deferred per-lane publishes must not
         # see drain-time growth of these totals.
-        self._pub = dict(
-            injected=self._injected.copy(),
-            delivered=self._delivered.copy(),
-            fwd=self._fwd.copy(),
-            stalls=self._stalls.copy(),
-            link_flits=self._link_flits.copy(),
+        self._pub = (
+            np.stack([self._injected, self._delivered, self._fwd, self._stalls]),
+            self._link_flits.copy(),
         )
         if publish:
             for lane in range(self._n):
                 self.publish_lane(lane)
         return self.results
 
-    def _lane_result(self, lane: int) -> SimResult:
-        cfg = self.config
-        sums = self._sample_sums[lane]
-        counts = self._sample_counts[lane]
-        samples = tuple(
-            (sums[i] / counts[i]) if counts[i] else float("nan")
-            for i in range(cfg.n_samples)
-        )
-        measured = int(counts.sum())
-        measured_cycles = cfg.n_samples * cfg.sample_cycles
-        saturated = any(
-            (s != s) or s > cfg.saturation_latency for s in samples
-        )
-        mean_latency = (
-            float(sums.sum()) / measured if measured else float("nan")
-        )
-        lat = self._mlat_vl[self._mlat_ml == lane]
-        p50, p99 = latency_percentiles(lat)
-        n_sl = self._n_sl
-        util = (
-            np.asarray(self._link_flits[lane * n_sl : (lane + 1) * n_sl])
-            / measured_cycles
-        )
-        active = max(1, len(self._hosts[lane]))
-        return SimResult(
-            injection_rate=self._rates[lane],
-            injected=int(self._injected[lane]),
-            delivered=int(self._delivered[lane]),
-            measured_delivered=measured,
-            mean_latency=mean_latency,
-            sample_latencies=samples,
-            saturated=saturated,
-            accepted_throughput=measured / (active * measured_cycles),
-            n_active_hosts=len(self._hosts[lane]),
-            latency_p50=p50,
-            latency_p99=p99,
-            max_link_utilisation=float(util.max()) if util.size else 0.0,
-            mean_link_utilisation=float(util.mean()) if util.size else 0.0,
-            config=cfg,
-            warmup_cycles_used=cfg.warmup_cycles,
-            measured_samples=cfg.n_samples,
-            steady_converged=None,
-        )
-
     # ------------------------------------------------------------ publish
     def publish_lane(self, lane: int) -> None:
-        """Replay one lane's telemetry into the active registry/recorder.
+        """Replay one lane's telemetry into the active registry/recorders.
 
         Safe to call under a per-lane capture (the grid's artifact
         splitting) or once per lane in lane order (the serial-equivalent
         default) — either way each lane's artifacts are byte-identical
-        to the serial run's.
+        to the serial run's: the lane goes through the serial engines'
+        own register / close / publish functions.
         """
-        pub = self._pub
-        if pub is None:
+        if self._pub is None:
             raise SimulationError("publish_lane() requires a completed run()")
         reg = metrics.active()
         if reg is not None:
+            # The path-cache counts the serial run would have made during
+            # construction and launch, ahead of its run-end publication.
             reg.merge(self._pre_snaps[lane])
             for snap in self._lazy_snaps[lane]:
                 reg.merge(snap)
             hits = int(self._lane_hits[lane])
             if hits:
                 reg.counter("core.cache.hit").inc(hits)
-            reg.counter("netsim.runs").inc()
-            reg.counter(f"netsim.engine_runs/{self.engine_name}").inc()
-            cps = getattr(self, "cycles_per_sec", None)
-            if cps:
-                reg.gauge(f"netsim.cycles_per_sec/{self.engine_name}").set(cps)
-            reg.counter("netsim.injected").inc(int(pub["injected"][lane]))
-            reg.counter("netsim.delivered").inc(int(pub["delivered"][lane]))
-            reg.counter("netsim.flits_forwarded").inc(int(pub["fwd"][lane]))
-            reg.counter("netsim.credit_stalls").inc(int(pub["stalls"][lane]))
-            occupancy = reg.histogram("netsim.vc_occupancy")
-            for sample in self._occ_samples[lane]:
-                occupancy.observe(sample)
-            n_sl = self._n_sl
-            reg.array(f"netsim.link_flits/{self._scheme}", n_sl).add(
-                pub["link_flits"][lane * n_sl : (lane + 1) * n_sl]
-            )
-            res = self.results[lane]
-            stamp_latency_gauges(
-                reg, res.latency_p50, res.latency_p99, res.mean_latency
-            )
-        ts = obs_timeseries.active()
-        if ts is not None and self._ts is not None:
-            run = ts.begin_run(**self._ts_meta[lane])
+        result = self.results[lane]
+        counts, link_flits = self._pub
+        n_sl = self._n_sl
+        publish_run(
+            reg, result, self.engine_name, self._scheme, self.cycles_per_sec,
+            counts[:, lane].tolist(), self._occ_samples[lane],
+            link_flits[lane * n_sl : (lane + 1) * n_sl],
+        )
+        # Only layers that were on during the run have rows to replay.
+        ts = obs_timeseries.active() if self._ts is not None else None
+        ls = obs_linkstate.active() if self._ls is not None else None
+        fs = obs_flowstats.active() if self._fs_on else None
+        ts_run, ls_run, fs_run = register_run(
+            self.topology, self.config, self._scheme,
+            self._mech_names[lane], self._rates[lane], ts, ls, fs,
+        )
+        if ts is not None:
             for row in self._ts_rows[lane]:
-                ts.record_window(run, **row)
-            if self._ts_ann is not None:
-                ts.annotate_run(run, **self._ts_ann)
-        lsr = obs_linkstate.active()
-        if lsr is not None and self._ls is not None:
-            run = lsr.begin_run(**self._ls_meta[lane])
-            ep = self._ls_ep
-            lsr.set_link_endpoints(ep["link_src"], ep["link_dst"])
+                ts.record_window(ts_run, **row)
+        if ls is not None:
             for row in self._ls_rows[lane]:
-                lsr.record_window(run, **row)
-        fsr = obs_flowstats.active()
-        if fsr is not None and self._fs_on:
-            run = fsr.begin_run(**self._fs_meta[lane])
-            ep = self._fs_ep
-            fsr.set_pair_endpoints(ep["pair_src"], ep["pair_dst"])
+                ls.record_window(ls_run, **row)
+        pairs = lats = None
+        if fs is not None:
             mask = self._mlat_ml == lane
-            fsr.record_run(run, self._mlat_pl[mask], self._mlat_vl[mask])
+            pairs, lats = self._mlat_pl[mask], self._mlat_vl[mask]
+        close_run(result, ts, ts_run, fs, fs_run, pairs, lats)
 
     # -------------------------------------------------------------- drain
     def drain(self) -> List[int]:
@@ -1963,7 +1837,7 @@ class BatchSimulator:
             if not live:
                 return out
             self._process_arrivals(now)
-            self._launch_all(now)
+            self._launch_from_sources(now)
             self._allocate(now)
         stuck = []
         for lane in live:

@@ -184,6 +184,8 @@ def run_batched_ladders(
     the lane packing.  Returns ``(throughput, snapshots or None)`` per
     job, in job order.
     """
+    if not rates:
+        raise ConfigurationError("rates must be non-empty")
     ladders = [np.random.default_rng(job[3]) for job in jobs]
     group_of = [
         (cache.selector.name, lane_vc_count(topology, cache, mech, config))

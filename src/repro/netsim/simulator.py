@@ -158,6 +158,136 @@ class SimResult:
     steady_converged: Optional[bool] = None
 
 
+# ------------------------------------------------------------ run record
+# Every engine keeps a run's record through the four functions below, so
+# the record cannot differ between engines.  The serial engines register
+# at construction and close at the end of run(); the batched engine runs
+# all four for each lane when it publishes the lane.
+
+
+def register_run(topology, config, scheme, mechanism, rate, ts, ls, fs):
+    """Register one run with the time-series, link-state and flow recorders
+    (each ``None`` when off); returns the three run ids (-1 when off).
+
+    Each ``.npz`` stores the metadata as JSON in insertion order, so the
+    key order here is part of the artifact bytes.
+    """
+    head = dict(scheme=scheme, mechanism=mechanism, rate=rate,
+                n_hosts=topology.n_hosts)
+    tail = dict(warmup_cycles=config.warmup_cycles,
+                channel_latency=config.channel_latency)
+    ts_run = ls_run = fs_run = -1
+    if ts is not None:
+        ts_run = ts.begin_run(**head, **tail)
+    if ls is not None:
+        ls_run = ls.begin_run(**head, n_links=topology.n_links, **tail)
+        ep = obs_linkstate.link_endpoints(topology)
+        ls.set_link_endpoints(ep["link_src"], ep["link_dst"])
+    if fs is not None:
+        n = topology.n_hosts
+        fs_run = fs.begin_run(**head, n_pairs=n * n,
+                              n_bins=obs_flowstats.latency_bins(config), **tail)
+        ep = obs_flowstats.pair_endpoints(n)
+        fs.set_pair_endpoints(ep["pair_src"], ep["pair_dst"])
+    return ts_run, ls_run, fs_run
+
+
+def build_result(config, rate, injected, delivered, sample_sums, sample_counts,
+                 latencies, link_flits, n_active_hosts, warmup_used,
+                 converged) -> SimResult:
+    """A run's :class:`SimResult` from its tallies.
+
+    ``sample_sums`` / ``sample_counts`` hold each measured sample's
+    latency sum and delivery count, ``latencies`` every measured packet's
+    latency and ``link_flits`` the flits launched onto each switch link
+    while measuring.
+    """
+    samples = tuple(
+        s / c if c else float("nan")
+        for s, c in zip(sample_sums, sample_counts)
+    )
+    measured = sum(sample_counts)
+    measured_cycles = len(samples) * config.sample_cycles
+    saturated = any(
+        (s != s) or s > config.saturation_latency for s in samples
+    )
+    mean_latency = sum(sample_sums) / measured if measured else float("nan")
+    p50, p99 = latency_percentiles(latencies)
+    util = np.asarray(link_flits) / measured_cycles
+    active = max(1, n_active_hosts)
+    return SimResult(
+        injection_rate=rate,
+        injected=injected,
+        delivered=delivered,
+        measured_delivered=measured,
+        mean_latency=mean_latency,
+        sample_latencies=samples,
+        saturated=saturated,
+        accepted_throughput=measured / (active * measured_cycles),
+        n_active_hosts=n_active_hosts,
+        latency_p50=p50,
+        latency_p99=p99,
+        max_link_utilisation=float(util.max()) if util.size else 0.0,
+        mean_link_utilisation=float(util.mean()) if util.size else 0.0,
+        config=config,
+        warmup_cycles_used=warmup_used,
+        measured_samples=len(samples),
+        steady_converged=converged,
+    )
+
+
+def close_run(result: SimResult, ts, ts_run, fs, fs_run, pairs, latencies):
+    """Close one run in the time-series and flow recorders (each ``None``
+    when off): annotate the run control it used, and hand over its
+    measured ``(pair, latency)`` streams."""
+    if ts is not None:
+        ts.annotate_run(ts_run, warmup_cycles_used=result.warmup_cycles_used,
+                        measured_samples=result.measured_samples,
+                        steady_converged=result.steady_converged)
+    if fs is not None:
+        fs.record_run(fs_run, pairs, latencies)
+
+
+def publish_run(reg, result: SimResult, engine, scheme, cycles_per_sec, counts,
+                occupancy_samples, link_flits) -> None:
+    """Publish one run to the metrics registry (no-op when ``None``).
+
+    ``counts`` is the run's (injected, delivered, forwarded, credit
+    stalls).  The per-directed-link flit array is keyed by the
+    path-selection scheme name, so one experiment that sweeps several
+    schemes ends up with one aggregate utilization array per scheme — the
+    raw material of the KSP-versus-rKSP link-load-imbalance report.
+    """
+    if reg is None:
+        return
+    reg.counter("netsim.runs").inc()
+    # Engine provenance + wall-clock throughput, keyed by engine name so
+    # cross-engine manifests are distinguishable (compare-runs refuses to
+    # gate timings across different engines).  The gauge merges by max:
+    # it reports the run's peak cycles/sec per engine.
+    reg.counter(f"netsim.engine_runs/{engine}").inc()
+    if cycles_per_sec:
+        reg.gauge(f"netsim.cycles_per_sec/{engine}").set(cycles_per_sec)
+    for name, n in zip(
+        ("injected", "delivered", "flits_forwarded", "credit_stalls"), counts
+    ):
+        reg.counter(f"netsim.{name}").inc(n)
+    occupancy = reg.histogram("netsim.vc_occupancy")
+    for sample in occupancy_samples:
+        occupancy.observe(sample)
+    reg.array(f"netsim.link_flits/{scheme}", len(link_flits)).add(link_flits)
+    cfg = result.config
+    if cfg.steady_state:
+        reg.gauge("netsim.warmup_cycles_used").set(result.warmup_cycles_used)
+        if result.warmup_cycles_used > cfg.warmup_cycles:
+            reg.counter("netsim.steady_warmup_extended").inc()
+        if result.measured_samples < cfg.n_samples:
+            reg.counter("netsim.steady_early_stop").inc()
+    stamp_latency_gauges(
+        reg, result.latency_p50, result.latency_p99, result.mean_latency
+    )
+
+
 class Simulator:
     """One flit-level run.
 
@@ -288,17 +418,26 @@ class Simulator:
         self.credit_stalls = 0
         self._occupancy_samples: List[int] = []
         self._warmup_converged = False
-        self._warmup_used = config.warmup_cycles
-        self._measured_samples = config.n_samples
 
-        # Flight recorder (off by default; the active recorder is fixed at
-        # construction, so hot paths only test one local reference).
+        # Capture recorders (each off by default; the active recorders are
+        # fixed at construction, so hot paths only test one local
+        # reference).  The time-series, link-state and flow recorders
+        # register the run here; the flight recorder only traces serial
+        # runs, so it registers on its own.
+        self._scheme = getattr(paths.selector, "name", "unknown")
+        self._ts = obs_timeseries.active()
+        self._ls = obs_linkstate.active()
+        self._fs = obs_flowstats.active()
+        self._ts_run, self._ls_run, self._fs_run = register_run(
+            topology, config, self._scheme, mechanism, self.rate,
+            self._ts, self._ls, self._fs,
+        )
         tr = obs_trace.active()
         self._trace = tr
         self._trace_run = -1
         if tr is not None:
             self._trace_run = tr.begin_run(
-                scheme=getattr(paths.selector, "name", "unknown"),
+                scheme=self._scheme,
                 mechanism=mechanism,
                 rate=self.rate,
                 channel_latency=config.channel_latency,
@@ -310,31 +449,19 @@ class Simulator:
             for s, d in traffic.switch_pairs(topology):
                 paths.path_index_map(s, d)
 
-        # Windowed time-series recorder (same fixed-at-construction
-        # discipline as the flight recorder).  Cumulative ejection latency
-        # is tracked whenever the recorder or steady-state control needs
-        # per-window means; both are off by default.
-        ts = obs_timeseries.active()
-        self._ts = ts
-        self._ts_run = -1
-        self._track_lat = ts is not None or config.steady_state
+        # Windowed time series.  Cumulative ejection latency is tracked
+        # whenever the recorder or steady-state control needs per-window
+        # means; both are off by default.
+        self._track_lat = self._ts is not None or config.steady_state
         self._lat_total = 0
         self._win_start = 0
         self._win_next = 0
         self._end_cycle = config.total_cycles
-        if ts is not None:
-            self._ts_run = ts.begin_run(
-                scheme=getattr(paths.selector, "name", "unknown"),
-                mechanism=mechanism,
-                rate=self.rate,
-                n_hosts=topology.n_hosts,
-                warmup_cycles=config.warmup_cycles,
-                channel_latency=config.channel_latency,
-            )
+        if self._ts is not None:
             self._ts_link_flits = np.zeros(
                 topology.n_switch_links, dtype=np.int64
             )
-            self._win_next = ts.window
+            self._win_next = self._ts.window
             # Counter values at the last window flush (delta markers).
             self._wp_injected = 0
             self._wp_delivered = 0
@@ -342,28 +469,14 @@ class Simulator:
             self._wp_stalls = 0
             self._wp_fwd = 0
 
-        # Dense per-window link-state recorder (same fixed-at-construction
-        # discipline).  Tallies are plain lists on the hot path — one
-        # indexed add per forward/stall — copied out at window edges.
-        ls = obs_linkstate.active()
-        self._ls = ls
-        self._ls_run = -1
+        # Dense per-window link state.  Tallies are plain lists on the hot
+        # path — one indexed add per forward/stall — copied out at window
+        # edges.
         self._ls_start = 0
         self._ls_next = 0
         self._inj_link_base = topology.injection_link_base
         self._ej_link_base = topology.ejection_link_base
-        if ls is not None:
-            self._ls_run = ls.begin_run(
-                scheme=getattr(paths.selector, "name", "unknown"),
-                mechanism=mechanism,
-                rate=self.rate,
-                n_hosts=topology.n_hosts,
-                n_links=topology.n_links,
-                warmup_cycles=config.warmup_cycles,
-                channel_latency=config.channel_latency,
-            )
-            ep = obs_linkstate.link_endpoints(topology)
-            ls.set_link_endpoints(ep["link_src"], ep["link_dst"])
+        if self._ls is not None:
             nl = topology.n_links
             self._ls_fwd = [0] * nl
             self._ls_stall = [0] * nl
@@ -372,30 +485,13 @@ class Simulator:
             # depend on within-cycle switch order, which the batched
             # engine's vectorized grant pass cannot replay.
             self._ls_peak = np.zeros(nl, dtype=np.int64)
-            self._ls_next = ls.window
+            self._ls_next = self._ls.window
 
-        # Per-(src,dst) flow recorder (same fixed-at-construction
-        # discipline).  The hot path only appends the ejected packet's
-        # pair id next to its latency; the per-pair tally happens once at
-        # the end of run() from the two aligned lists.
-        fs = obs_flowstats.active()
-        self._fs = fs
-        self._fs_run = -1
+        # Per-(src,dst) flows.  The hot path only appends the ejected
+        # packet's pair id next to its latency; the per-pair tally happens
+        # once at the end of run() from the two aligned lists.
         self._fs_nh = topology.n_hosts
         self._fs_pairs: List[int] = []
-        if fs is not None:
-            self._fs_run = fs.begin_run(
-                scheme=getattr(paths.selector, "name", "unknown"),
-                mechanism=mechanism,
-                rate=self.rate,
-                n_hosts=topology.n_hosts,
-                n_pairs=topology.n_hosts * topology.n_hosts,
-                n_bins=obs_flowstats.latency_bins(config),
-                warmup_cycles=config.warmup_cycles,
-                channel_latency=config.channel_latency,
-            )
-            ep = obs_flowstats.pair_endpoints(topology.n_hosts)
-            fs.set_pair_endpoints(ep["pair_src"], ep["pair_dst"])
 
     # ----------------------------------------------------------- plumbing
     def _buf_idx(self, switch: int, port: int, vc: int) -> int:
@@ -645,11 +741,12 @@ class Simulator:
     def _advance(self, start: int, stop: int) -> None:
         """Run the four-phase cycle loop for ``[start, stop)``.
 
-        With the time-series recorder off this is the bare loop.  With it
-        on, the loop is chunked at absolute window boundaries and a row is
-        flushed at each — the cycle-by-cycle work (and every RNG draw) is
-        identical either way, so enabling time series cannot change a
-        run's results.
+        With the time-series and link-state recorders off this is the
+        bare loop.  With either on, the loop is chunked at absolute window
+        boundaries and a row is flushed at each — the cycle-by-cycle work
+        (and every RNG draw) is identical either way, so enabling capture
+        cannot change a run's results.  The batched engine steps its
+        lanes through this same loop.
         """
         if self._ts is None and self._ls is None:
             for now in range(start, stop):
@@ -814,7 +911,6 @@ class Simulator:
         self._measure_start = 1 << 62
         warmup_used = self._run_warmup()
         self._measure_start = warmup_used
-        self._warmup_used = warmup_used
         start = warmup_used
         n_done = 0
         for _ in range(cfg.n_samples):
@@ -830,69 +926,33 @@ class Simulator:
             ):
                 break
         self._end_cycle = start
-        self._measured_samples = n_done
-        steady = self._warmup_converged if cfg.steady_state else None
-        ts = self._ts
-        if ts is not None:
+        if self._ts is not None:
             self._flush_window(start)  # the final, possibly partial window
-            ts.annotate_run(
-                self._ts_run,
-                warmup_cycles_used=warmup_used,
-                measured_samples=n_done,
-                steady_converged=steady,
-            )
         if self._ls is not None:
             self._flush_ls_window(start)  # the final, possibly partial window
-
-        samples = tuple(
-            (self._sample_sums[i] / self._sample_counts[i])
-            if self._sample_counts[i]
-            else float("nan")
-            for i in range(n_done)
+        result = build_result(
+            cfg, self.rate, self.injected, self.delivered,
+            self._sample_sums[:n_done], self._sample_counts[:n_done],
+            self._latencies, self._link_flits, len(self.active_hosts),
+            warmup_used, self._warmup_converged if cfg.steady_state else None,
         )
-        measured = sum(self._sample_counts)
-        measured_cycles = n_done * cfg.sample_cycles
-        saturated = any(
-            (s != s) or s > cfg.saturation_latency for s in samples
-        )
-        mean_latency = (
-            sum(self._sample_sums) / measured if measured else float("nan")
-        )
-        p50, p99 = latency_percentiles(self._latencies)
-        util = np.asarray(self._link_flits) / measured_cycles
-        active = max(1, len(self.active_hosts))
         # Wall-clock cycle throughput of this run (never part of the
         # deterministic result; recorded per engine for cross-engine
         # manifest comparisons).
         wall = time.perf_counter() - t_wall
         self.cycles_per_sec = self._end_cycle / wall if wall > 0 else 0.0
-        if self._fs is not None:
-            self._fs.record_run(
-                self._fs_run, self._fs_pairs, self._latencies
-            )
-        reg = metrics.active()
-        if reg is not None:
-            self._publish_metrics(reg)
-        stamp_latency_gauges(reg, p50, p99, mean_latency)
-        return SimResult(
-            injection_rate=self.rate,
-            injected=self.injected,
-            delivered=self.delivered,
-            measured_delivered=measured,
-            mean_latency=mean_latency,
-            sample_latencies=samples,
-            saturated=saturated,
-            accepted_throughput=measured / (active * measured_cycles),
-            n_active_hosts=len(self.active_hosts),
-            latency_p50=p50,
-            latency_p99=p99,
-            max_link_utilisation=float(util.max()) if util.size else 0.0,
-            mean_link_utilisation=float(util.mean()) if util.size else 0.0,
-            config=cfg,
-            warmup_cycles_used=warmup_used,
-            measured_samples=n_done,
-            steady_converged=steady,
+        close_run(
+            result, self._ts, self._ts_run, self._fs, self._fs_run,
+            self._fs_pairs, self._latencies,
         )
+        publish_run(
+            metrics.active(), result, self.engine_name, self._scheme,
+            self.cycles_per_sec,
+            (self.injected, self.delivered, self.flits_forwarded,
+             self.credit_stalls),
+            self._occupancy_samples, self._link_flits,
+        )
+        return result
 
     def drain(self) -> int:
         """Stop injecting and run until every packet is delivered.
@@ -922,41 +982,6 @@ class Simulator:
     def buffered_flits(self) -> int:
         """Flits currently occupying (input port, VC) buffer slots."""
         return len(self.free) * self.config.vc_buffer - sum(self.free)
-
-    def _publish_metrics(self, reg) -> None:
-        """Publish this run's tallies to the active metrics registry.
-
-        The per-directed-link flit array is keyed by the path-selection
-        scheme name, so one experiment that sweeps several schemes ends up
-        with one aggregate utilization array per scheme — the raw material
-        of the KSP-versus-rKSP link-load-imbalance report.
-        """
-        scheme = getattr(self.paths.selector, "name", "unknown")
-        reg.counter("netsim.runs").inc()
-        # Engine provenance + wall-clock throughput, keyed by engine name
-        # so cross-engine manifests are distinguishable (compare-runs
-        # refuses to gate timings across different engines).  The gauge
-        # merges by max: it reports the run's peak cycles/sec per engine.
-        reg.counter(f"netsim.engine_runs/{self.engine_name}").inc()
-        cps = getattr(self, "cycles_per_sec", None)
-        if cps:
-            reg.gauge(f"netsim.cycles_per_sec/{self.engine_name}").set(cps)
-        reg.counter("netsim.injected").inc(self.injected)
-        reg.counter("netsim.delivered").inc(self.delivered)
-        reg.counter("netsim.flits_forwarded").inc(self.flits_forwarded)
-        reg.counter("netsim.credit_stalls").inc(self.credit_stalls)
-        occupancy = reg.histogram("netsim.vc_occupancy")
-        for sample in self._occupancy_samples:
-            occupancy.observe(sample)
-        reg.array(
-            f"netsim.link_flits/{scheme}", self.topology.n_switch_links
-        ).add(self._link_flits)
-        if self.config.steady_state:
-            reg.gauge("netsim.warmup_cycles_used").set(self._warmup_used)
-            if self._warmup_used > self.config.warmup_cycles:
-                reg.counter("netsim.steady_warmup_extended").inc()
-            if self._measured_samples < self.config.n_samples:
-                reg.counter("netsim.steady_early_stop").inc()
 
     # ------------------------------------------------------- diagnostics
     def in_flight(self) -> int:

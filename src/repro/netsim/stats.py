@@ -1,10 +1,8 @@
 """Shared latency statistics helpers used by every engine tier.
 
-The reference :class:`~repro.netsim.simulator.Simulator` and the batched
-:class:`~repro.netsim.batchcore.BatchSimulator` used to compute result
-percentiles with two separately-written ``np.percentile`` snippets; this
-module is the single definition both call, so the tiers cannot drift.
-It also owns the manifest-gauge stamping of the latency SLO scalars
+:func:`latency_percentiles` is the one percentile definition every
+engine's results use, so the tiers cannot drift.  This module also owns
+the manifest-gauge stamping of the latency SLO scalars
 (``netsim.latency_p50`` / ``netsim.latency_p99`` / ``netsim.mean_latency``)
 so the tail of every run is visible to ``compare-runs``, the ledger and
 the trend gate even with flowstats disabled.

@@ -1,5 +1,6 @@
 """Tests for the process-parallel sweep grid (and pickling support)."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -84,6 +85,13 @@ class TestGrid:
             run_saturation_grid(
                 topo, ["sp"], ["random"], pats, rates=(0.5,), processes=0
             )
+        # An empty ladder is an error on both tiers, never a 0.0 cell.
+        for lanes in (1, 4):
+            with pytest.raises(ConfigurationError, match="rates"):
+                run_saturation_grid(
+                    topo, ["ksp"], ["random"], pats, rates=(),
+                    config=dataclasses.replace(TINY, batch_lanes=lanes),
+                )
 
 
 def _strip_engine_identity(snap):

@@ -85,6 +85,15 @@ def test_timeseries_window_must_be_positive(tmp_path):
         ])
 
 
+@pytest.mark.parametrize(
+    "flags", [["--processes", "0"], ["--seed", "-1"]], ids=["processes", "seed"]
+)
+def test_out_of_range_numeric_flag_is_a_usage_error(flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", *flags])
+    assert exc.value.code == 2
+
+
 def _tiny_sim_experiment(scale="small", seed=0):
     """A seconds-fast cycle-level driver for CLI-path tests."""
     from repro import Jellyfish, PathCache

@@ -22,6 +22,8 @@ capacity 1, and drain-budget exhaustion.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -29,8 +31,9 @@ import pytest
 from repro import Jellyfish, PathCache
 from repro.errors import SimulationError
 from repro.netsim import SimConfig, Simulator, UniformTraffic, PatternTraffic
+from repro.netsim.batchcore import BatchLane, BatchSimulator
 from repro.netsim.fastcore import FastSimulator
-from repro.obs import metrics, timeseries, trace
+from repro.obs import flowstats, linkstate, metrics, timeseries, trace
 from repro.traffic import random_permutation
 
 MECHANISMS = ["sp", "random", "round_robin", "ugal", "ksp_ugal", "ksp_adaptive"]
@@ -212,6 +215,98 @@ class TestTelemetryEquivalence:
     def test_timeseries_npz_byte_identical(self, tmp_path):
         assert self._timeseries_bytes("fast", tmp_path) == \
             self._timeseries_bytes("reference", tmp_path)
+
+
+def _canon(value):
+    """A platform-stable form of a result or snapshot: floats to 12
+    significant digits, arrays as dtype, shape and a hash of their bytes."""
+    if isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value).tobytes()
+        return [value.dtype.str, list(value.shape),
+                hashlib.sha256(data).hexdigest()]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".12g")
+    if isinstance(value, dict):
+        return {str(k): _canon(v) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_canon(v) for v in value]
+    return value
+
+
+def _run_record_digest(results, reg, recorders):
+    """One SHA-256 over a case's whole run record (see TestRunRecordPinned)."""
+    snap = reg.snapshot()
+    snap.pop("timers")
+    snap["gauges"] = {
+        k: v for k, v in snap["gauges"].items()
+        if not k.startswith("netsim.cycles_per_sec/")
+    }
+    rec_snaps = {name: rec.snapshot() for name, rec in recorders}
+    doc = {
+        "results": [
+            _canon({k: v for k, v in dataclasses.asdict(r).items()
+                    if k != "config"})
+            for r in results
+        ],
+        "metrics": _canon(snap),
+        "recorders": {
+            name: _canon(dict(s, runs=json.dumps(s["runs"])))
+            for name, s in rec_snaps.items()
+        },
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+class TestRunRecordPinned:
+    """Every engine's run record, pinned to fixed bytes.
+
+    The suites above compare the engines with each other, so a change
+    made to every engine alike (a moved recorder metadata key, a renamed
+    counter) passes them.  These digests do not: each hashes the
+    ``SimResult`` fields without ``config``, the metrics snapshot without
+    timers and wall-clock cycles/sec gauges, and every recorder snapshot
+    (its ``runs`` metadata in key order).  The saved ``.npz`` bytes are
+    not hashed, because their compression depends on the zlib build.
+    """
+
+    DIGESTS = {
+        "reference": "0733917e785728cb34e3daa0c1f36b1460ffe9a666022b98819816d460229e64",
+        "fast": "66da7e22fbe500b16e3a88b77f6ac83464b227c2f6cf88810d9fdfd8aba77c92",
+        "batched": "20caf6893f315e7957420021ed6b3b705002d24b1e5be495566f4a100fe913c3",
+    }
+
+    @staticmethod
+    def _run(case):
+        topo = _topo()
+        paths = PathCache(topo, "redksp", k=4, seed=1)
+        perm = _traffic("perm", topo.n_hosts)
+        if case == "reference":
+            cfg = SimConfig(**STEADY, engine="reference")
+            sim = Simulator(topo, paths, "ksp_adaptive",
+                            UniformTraffic(topo.n_hosts), 0.4, cfg, seed=11)
+            return [sim.run()]
+        if case == "fast":
+            cfg = SimConfig(warmup_cycles=0, sample_cycles=7, n_samples=3)
+            sim = Simulator(topo, paths, "round_robin", perm, 0.9, cfg,
+                            seed=11)
+            return [sim.run()]
+        lanes = [BatchLane("ksp_adaptive", perm, 0.4, seed=11),
+                 BatchLane("ksp_ugal", perm, 0.9, seed=12)]
+        return BatchSimulator(topo, paths, lanes, SimConfig(**CYCLES)).run()
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_run_record_digest(self, case):
+        with metrics.capture() as reg, timeseries.capture(window=25) as ts, \
+                linkstate.capture(window=25) as ls, flowstats.capture() as fs:
+            results = self._run(case)
+        recorders = [("timeseries", ts), ("linkstate", ls), ("flowstats", fs)]
+        assert all(len(rec.runs) == len(results) for _, rec in recorders)
+        assert _run_record_digest(results, reg, recorders) == \
+            self.DIGESTS[case]
 
 
 class TestRingBufferEdges:
