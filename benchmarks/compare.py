@@ -8,25 +8,39 @@ Usage::
 With one argument the baseline defaults to the newest ``BENCH_*.json`` in
 this directory other than ``NEW.json`` itself ("newest" by filename sort,
 so name committed baselines ``BENCH_<date>_<seq>_<label>.json``).  Benchmarks are matched by
-name; a benchmark whose mean slows down by more than the threshold (25%
-by default, ``--threshold 0.25``) **and** whose name touches the path-table
-hot paths (Yen, BFS, precompute) fails the comparison — exit status 1 —
-so the perf harness can gate on it:
+name.  A row regresses when its name contains one of the ``GATED`` tags
+(Yen, BFS and precompute path-table hot paths, the simulator cycle loop
+and the saturation grid) **and** the one regression judge,
+``repro.obs.compare.worse``, finds its mean more than the threshold
+slower (25% by default, ``--threshold 0.25``).  Any gated regression
+fails the comparison with exit status 1, so the perf harness can gate
+on it:
 
     PYTHONPATH=src python -m pytest benchmarks/test_micro_perf.py \\
         --benchmark-json=new.json
     python benchmarks/compare.py new.json
 
-Other benchmarks are reported but only warn: the experiment-level runs
-are noisy enough that gating on them would flake.
+Other rows are reported but only warn: the experiment-level runs are
+noisy enough that gating on them would flake.  An unreadable export,
+or a bad ``--threshold`` / ``--require-speedup`` value, exits 2.  Run
+manifests are compared by ``python -m repro.experiments compare-runs``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
+
+try:
+    from repro.errors import ComparisonError
+    from repro.obs import compare as judge, ledger
+except ImportError:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    from repro.errors import ComparisonError
+    from repro.obs import compare as judge, ledger
 
 #: Substrings of benchmark names that are gated (hot-path primitives whose
 #: regressions the fast path-table pipeline exists to prevent, plus the
@@ -35,10 +49,24 @@ from pathlib import Path
 GATED = ("yen", "bfs", "precompute", "simulator", "grid")
 
 
+def load_export(path: Path) -> dict:
+    """Read one pytest-benchmark export; ComparisonError names a bad file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ComparisonError(f"cannot read benchmark export {path}: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("benchmarks"), list):
+        raise ComparisonError(
+            f"{path} is not a pytest-benchmark export (diff run manifests "
+            "with 'python -m repro.experiments compare-runs')"
+        )
+    return doc
+
+
 def load_means(path: Path) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return {b["name"]: float(b["stats"]["mean"]) for b in doc["benchmarks"]}
+    rows = load_export(path)["benchmarks"]
+    return {b["name"]: float(b["stats"]["mean"]) for b in rows}
 
 
 def slim_export(src: Path, dst: Path) -> None:
@@ -49,9 +77,8 @@ def slim_export(src: Path, dst: Path) -> None:
     table read is the summary statistics, which are kept verbatim.  The
     slimmed file stays loadable by older ``compare.py`` revisions.
     """
-    with open(src) as fh:
-        doc = json.load(fh)
-    for bench in doc.get("benchmarks", ()):
+    doc = load_export(src)
+    for bench in doc["benchmarks"]:
         stats = bench.get("stats")
         if isinstance(stats, dict):
             stats.pop("data", None)
@@ -95,27 +122,6 @@ def default_baseline(new: Path) -> Path | None:
     return candidates[-1] if candidates else None
 
 
-def compare(new_means: dict, base_means: dict, threshold: float):
-    """Yield (name, base_mean, new_mean, ratio, gated) per common benchmark."""
-    for name in sorted(new_means):
-        if name not in base_means:
-            continue
-        base, new = base_means[name], new_means[name]
-        ratio = new / base if base > 0 else float("inf")
-        gated = any(tag in name.lower() for tag in GATED)
-        yield name, base, new, ratio, gated
-
-
-def _import_ledger():
-    """Import ``repro.obs.ledger``, adding ``src`` to the path if needed."""
-    try:
-        from repro.obs import ledger
-    except ImportError:
-        sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
-        from repro.obs import ledger
-    return ledger
-
-
 def feed_ledger(export_path: Path, ledger_path: Path) -> int:
     """Append every benchmark row of ``export_path`` to the run ledger.
 
@@ -130,10 +136,7 @@ def feed_ledger(export_path: Path, ledger_path: Path) -> int:
 
     Returns the number of entries actually appended.
     """
-    ledger = _import_ledger()
-    with open(export_path) as fh:
-        doc = json.load(fh)
-    entries = ledger.bench_entries(doc)
+    entries = ledger.bench_entries(load_export(export_path))
     appended = ledger.append_entries(ledger_path, entries)
     print(
         f"ledger: {ledger_path} += {appended} of {len(entries)} row(s) "
@@ -142,43 +145,17 @@ def feed_ledger(export_path: Path, ledger_path: Path) -> int:
     return appended
 
 
-def _is_manifest(path: Path) -> bool:
-    """True if ``path`` is a run manifest rather than a benchmark export."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return False
-    fmt = doc.get("format", "") if isinstance(doc, dict) else ""
-    return isinstance(fmt, str) and fmt.startswith("repro-manifest")
-
-
-def _delegate_manifests(args) -> int:
-    """Route manifest inputs to the run differ (``repro.obs.compare``)."""
-    try:
-        from repro.obs.compare import main as compare_runs
-    except ImportError:
-        sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
-        from repro.obs.compare import main as compare_runs
-
-    # The run differ takes (base, new); this script takes (new, base).
-    return compare_runs(
-        [str(args.baseline), str(args.new), "--threshold", str(args.threshold)]
-    )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "new", type=Path,
-        help="pytest-benchmark JSON (or run manifest) to check",
+        "new", type=Path, help="pytest-benchmark JSON export to check",
     )
     parser.add_argument(
         "baseline", type=Path, nargs="?", default=None,
         help="baseline JSON (default: newest benchmarks/BENCH_*.json)",
     )
     parser.add_argument(
-        "--threshold", type=float, default=0.25,
+        "--threshold", type=judge.non_negative, default=0.25,
         help="max allowed slowdown fraction on gated benchmarks (default 0.25)",
     )
     parser.add_argument(
@@ -206,36 +183,43 @@ def main(argv=None) -> int:
 
     if args.ledger_only and args.ledger is None:
         parser.error("--ledger-only requires --ledger")
-    if args.ledger is not None:
-        feed_ledger(args.new, args.ledger)
-        if args.ledger_only:
+    if args.require_speedup is not None:
+        text = args.require_speedup[2]
+        try:
+            required = float(text)
+        except ValueError:
+            required = math.nan
+        if not 0.0 < required < math.inf:
+            parser.error(
+                f"--require-speedup RATIO must be a finite number > 0, got {text!r}"
+            )
+
+    try:
+        if args.ledger is not None:
+            feed_ledger(args.new, args.ledger)
+            if args.ledger_only:
+                return 0
+
+        if args.slim is not None:
+            slim_export(args.new, args.slim)
+            print(f"slimmed {args.new} -> {args.slim}")
             return 0
 
-    if args.slim is not None:
-        slim_export(args.new, args.slim)
-        print(f"slimmed {args.new} -> {args.slim}")
-        return 0
+        if args.require_speedup is not None:
+            base_name, new_name, _ = args.require_speedup
+            return require_speedup(args.new, base_name, new_name, required)
 
-    if args.require_speedup is not None:
-        base_name, new_name, ratio = args.require_speedup
-        return require_speedup(args.new, base_name, new_name, float(ratio))
-
-    if _is_manifest(args.new):
-        if args.baseline is None:
-            print(
-                "manifest comparison needs an explicit baseline manifest",
-                file=sys.stderr,
-            )
+        baseline = args.baseline or default_baseline(args.new)
+        if baseline is None:
+            print("no baseline BENCH_*.json found; nothing to compare", file=sys.stderr)
             return 2
-        return _delegate_manifests(args)
 
-    baseline = args.baseline or default_baseline(args.new)
-    if baseline is None:
-        print("no baseline BENCH_*.json found; nothing to compare", file=sys.stderr)
+        new_means = load_means(args.new)
+        base_means = load_means(baseline)
+    except ComparisonError as exc:
+        print(exc, file=sys.stderr)
         return 2
 
-    new_means = load_means(args.new)
-    base_means = load_means(baseline)
     print(f"baseline: {baseline}")
     print(f"new:      {args.new}\n")
     print(
@@ -244,12 +228,16 @@ def main(argv=None) -> int:
     )
 
     failures = []
-    for name, base, new, ratio, gated in compare(new_means, base_means, args.threshold):
+    for name in sorted(new_means.keys() & base_means.keys()):
+        base, new = base_means[name], new_means[name]
+        ratio = new / base if base > 0 else float("inf")
         flag = ""
-        if ratio > 1 + args.threshold:
-            flag = " REGRESSION" if gated else " (slower, not gated)"
-            if gated:
+        if judge.worse("timing/mean", base, new, threshold=args.threshold, min_seconds=0.0):
+            if any(tag in name.lower() for tag in GATED):
+                flag = " REGRESSION"
                 failures.append((name, ratio))
+            else:
+                flag = " (slower, not gated)"
         delta = 100.0 * (ratio - 1.0)
         print(
             f"{name:50s} {base * 1e3:10.2f} {new * 1e3:10.2f}"

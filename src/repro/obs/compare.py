@@ -1,39 +1,46 @@
-"""Cross-run regression diffing of run manifests.
+"""The one regression judge, and cross-run diffing of run manifests.
 
-PR 2's manifests record what a run did (stage timings, metric snapshot);
-this module makes them *enforceable*: :func:`compare_manifests` diffs two
-manifests with configurable relative thresholds, and the CLI entry point
-(``python -m repro.experiments compare-runs A.manifest.json
+Every perf gate decides "slower" here: ``compare-runs`` (two manifests,
+this module's CLI), ``runs trend/gate/dashboard`` (a window of ledger
+entries, :mod:`repro.obs.trend`) and ``benchmarks/compare.py`` (two
+pytest-benchmark exports).  They share one table, one rule and one set
+of options:
+
+- :data:`GATED` lists the gated metric families in ledger naming, each
+  with the direction that counts as worse;
+- :func:`worse` is the rule.  A larger-is-worse metric regresses when
+  its baseline clears the ``min_seconds`` noise floor and it grew by
+  more than ``threshold``; a smaller-is-worse one when it fell by more
+  than ``threshold``.  A ``counter/`` metric regresses only when
+  ``metric_threshold`` is given, on drift in either direction (counters
+  are deterministic for a fixed seed, so the drift gate doubles as a
+  reproducibility check).  Nothing else ever regresses;
+- :func:`add_judge_options` gives each CLI the same ``--threshold``,
+  ``--metric-threshold`` and ``--min-seconds``, each a finite number
+  >= 0: a NaN or infinite threshold would turn every gate off.
+
+:func:`compare_manifests` diffs two manifests through the ledger's own
+flattening (:func:`repro.obs.ledger.manifest_entry`), and the CLI entry
+point (``python -m repro.experiments compare-runs A.manifest.json
 B.manifest.json``) exits non-zero on regression so CI can gate on it.
+In a pair diff:
 
-What is compared:
+- **stage timings** and **metric counters** gate through :func:`worse`;
+- **wall time** is reported, never gated (too noisy across machines);
+- the :data:`REPORTED_GAUGES` — engine throughput
+  (``netsim.cycles_per_sec/<engine>``) and the latency/fairness SLO
+  scalars — are report-only deltas; their gate lives in the N-run trend
+  analysis, where a window median makes sense.
 
-- **stage timings** — each span's total seconds; a stage that got slower
-  by more than ``timing_threshold`` (and whose baseline total is above
-  the ``min_seconds`` noise floor) is a gating regression;
-- **metric counters** — relative drift in either direction; gated only
-  when ``metric_threshold`` is given (counters are deterministic for a
-  fixed seed, so a drift gate doubles as a reproducibility check);
-- **wall time** — reported, never gated (too noisy across machines);
-- **SLO gauges** — the latency/fairness scalars
-  (``netsim.latency_p50/p99``, ``netsim.mean_latency``,
-  ``netsim.fairness_jain``, ``netsim.worst_pair_p99``) are surfaced as
-  report-only deltas alongside the engine-throughput gauges; their
-  regression gate lives in the N-run trend analysis
-  (:mod:`repro.obs.trend`), where a noise floor makes sense.
-
-Simulator runs additionally stamp their engine into the manifest (the
-``netsim.engine_runs/<engine>`` counters and the
-``netsim.cycles_per_sec/<engine>`` gauges).  When the two manifests ran
-*different* engine sets — any mismatch among the ``reference``, ``fast``
-and ``batched`` tiers, including a batched grid whose fallback cells add
-``fast`` alongside ``batched`` — their timings measure different
-implementations, so timing regressions are reported but **not gated**
-and the diff carries an explicit cross-engine note: a fast-engine
-baseline can never silently flag the reference engine (or the batched
-multi-lane tier) as a performance regression, or vice versa.  Counters
-still gate as usual: all engine tiers are byte-equivalent, so counter
-drift across engines is a real reproducibility failure, not noise.
+Simulator runs stamp their engine into the manifest (the
+``netsim.engine_runs/<engine>`` counters).  When the two manifests ran
+*different* engine sets — any mismatch among the ``reference``,
+``fast`` and ``batched`` tiers, including a batched grid whose fallback
+cells add ``fast`` alongside ``batched`` — their timings measure
+different implementations, so timing regressions are reported but
+**not gated** and the diff carries an explicit cross-engine note.
+Counters still gate as usual: all engine tiers are byte-equivalent, so
+counter drift across engines is a real reproducibility failure.
 
 Manifests from different schema versions refuse to diff with a clear
 :class:`~repro.errors.ComparisonError` rather than producing a silently
@@ -44,28 +51,129 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Mapping, Optional
 
 from repro.errors import ComparisonError
+from repro.obs.ledger import engines_of, manifest_entry
 
 __all__ = [
+    "GATED",
+    "REPORTED_GAUGES",
     "Delta",
     "ManifestDiff",
+    "add_judge_options",
     "compare_manifests",
+    "direction",
     "engines_of",
     "load_manifest",
     "main",
+    "non_negative",
+    "reported",
+    "worse",
 ]
+
+#: The gated metric families, each with the direction that counts as
+#: worse: +1 when larger is worse, -1 when smaller is worse.  A family
+#: ending in ``/`` matches as a prefix, the others by exact name.  Gauges
+#: not listed are report-only: ``core.pairs_resident``, for one, tracks
+#: the workload, not the store's efficiency.
+GATED = (
+    ("timing/", +1),
+    ("gauge/netsim.cycles_per_sec/", -1),
+    ("gauge/netsim.latency_p99", +1),
+    ("gauge/netsim.worst_pair_p99", +1),
+    ("gauge/netsim.fairness_jain", -1),
+    ("gauge/core.arena_bytes", +1),
+)
+
+#: Gauge families the reports show: engine throughput and the
+#: latency/fairness SLO scalars.
+REPORTED_GAUGES = (
+    "gauge/netsim.cycles_per_sec/",
+    "gauge/netsim.latency_",
+    "gauge/netsim.mean_latency",
+    "gauge/netsim.fairness_",
+    "gauge/netsim.worst_pair_",
+)
+
+
+def direction(metric: str) -> Optional[int]:
+    """The worse direction of ``metric``'s :data:`GATED` family, else None."""
+    for family, sign in GATED:
+        if metric == family or (
+            family.endswith("/") and metric.startswith(family)
+        ):
+            return sign
+    return None
+
+
+def worse(
+    metric: str,
+    base: float,
+    new: float,
+    *,
+    threshold: float = 0.25,
+    metric_threshold: Optional[float] = None,
+    min_seconds: float = 0.05,
+) -> bool:
+    """Whether ``new`` regressed ``metric`` from ``base``; see the module
+    docstring for the rule."""
+    sign = direction(metric)
+    if sign == 1:
+        return base >= min_seconds and new > base * (1.0 + threshold)
+    if sign == -1:
+        return base > 0 and new < base * (1.0 - threshold)
+    if metric.startswith("counter/") and metric_threshold is not None:
+        if base > 0:
+            return abs(new / base - 1.0) > metric_threshold
+        return new > 0
+    return False
+
+
+def reported(metric: str) -> bool:
+    """Whether reports show ``metric`` by default: timings and the
+    :data:`REPORTED_GAUGES`."""
+    return metric.startswith(("timing/",) + REPORTED_GAUGES)
+
+
+def non_negative(text: str) -> float:
+    """argparse type of the judge options: a finite number >= 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
+def add_judge_options(parser: argparse.ArgumentParser) -> None:
+    """Add ``--threshold``, ``--metric-threshold`` and ``--min-seconds``."""
+    parser.add_argument(
+        "--threshold", type=non_negative, default=0.25,
+        help="max allowed relative drift of gated metrics: timings up, "
+        "cycles/sec down (default 0.25)",
+    )
+    parser.add_argument(
+        "--metric-threshold", type=non_negative, default=None,
+        help="gate counters drifting more than this fraction in either "
+        "direction (default: report only)",
+    )
+    parser.add_argument(
+        "--min-seconds", type=non_negative, default=0.05,
+        help="noise floor: larger-is-worse metrics whose baseline is "
+        "below this never gate (default 0.05)",
+    )
 
 
 @dataclass(frozen=True)
 class Delta:
     """One compared quantity of the two manifests."""
 
-    kind: str        # "timing" | "counter" | "wall"
+    kind: str        # "wall" | "timing" | "gauge" | "counter"
     name: str
     base: float
     new: float
@@ -111,31 +219,6 @@ class ManifestDiff:
         return "\n".join(lines)
 
 
-#: Counter prefix that stamps which simulator engine(s) a run used.
-_ENGINE_PREFIX = "netsim.engine_runs/"
-#: Gauge prefix reporting each engine's peak cycles/second for the run.
-_CPS_PREFIX = "netsim.cycles_per_sec/"
-
-#: Latency/fairness SLO gauges surfaced in the diff (report-only here;
-#: the N-run trend gate owns their regression thresholds).
-_SLO_PREFIXES = (
-    "netsim.latency_",
-    "netsim.mean_latency",
-    "netsim.fairness_jain",
-    "netsim.worst_pair_p99",
-)
-
-
-def engines_of(manifest: Mapping) -> frozenset:
-    """The simulator engines a manifest's run used (empty if none)."""
-    counters = manifest.get("metrics", {}).get("counters", {})
-    return frozenset(
-        name[len(_ENGINE_PREFIX):]
-        for name, count in counters.items()
-        if name.startswith(_ENGINE_PREFIX) and count
-    )
-
-
 def _check_comparable(base: Mapping, new: Mapping) -> None:
     for key in ("format", "schema_version"):
         a, b = base.get(key), new.get(key)
@@ -144,6 +227,10 @@ def _check_comparable(base: Mapping, new: Mapping) -> None:
                 f"manifests are not comparable: {key} {a!r} != {b!r} "
                 "(regenerate the baseline with this package version)"
             )
+
+
+#: Row order of a pair diff after wall time.
+_KINDS = ("timing", "gauge", "counter")
 
 
 def compare_manifests(
@@ -156,81 +243,47 @@ def compare_manifests(
 ) -> ManifestDiff:
     """Diff two manifest documents; see the module docstring for gating."""
     _check_comparable(base, new)
+    a, b = manifest_entry(base), manifest_entry(new)
     diff = ManifestDiff()
 
-    base_engines = engines_of(base)
-    new_engines = engines_of(new)
-    cross_engine = (
-        bool(base_engines) and bool(new_engines)
-        and base_engines != new_engines
-    )
+    cross_engine = a["engines"] and b["engines"] and a["engines"] != b["engines"]
     if cross_engine:
         diff.notes.append(
-            "cross-engine comparison (base: "
-            f"{', '.join(sorted(base_engines))}; new: "
-            f"{', '.join(sorted(new_engines))}) — timings measure "
+            f"cross-engine comparison (base: {', '.join(a['engines'])}; "
+            f"new: {', '.join(b['engines'])}) — timings measure "
             "different simulator cores and are not gated"
         )
 
     diff.deltas.append(
         Delta(
             "wall", "wall_time_s",
-            float(base.get("wall_time_s", 0.0)),
-            float(new.get("wall_time_s", 0.0)),
+            float(a["wall_time_s"] or 0.0),
+            float(b["wall_time_s"] or 0.0),
             regression=False,
         )
     )
 
-    base_timings = base.get("stage_timings", {})
-    new_timings = new.get("stage_timings", {})
-    for name in sorted(base_timings):
-        doc = base_timings[name]
-        b = float(doc.get("total", 0.0))
-        if name not in new_timings:
-            diff.missing.append(f"timing:{name}")
+    old, cur = a["metrics"], b["metrics"]
+    keys = {k for k in old if not k.startswith("gauge/")}
+    keys |= {k for k in (*old, *cur) if k.startswith(REPORTED_GAUGES)}
+    for key in sorted(keys, key=lambda k: (_KINDS.index(k.split("/", 1)[0]), k)):
+        kind, name = key.split("/", 1)
+        if kind != "gauge" and key not in cur:
+            diff.missing.append(f"{kind}:{name}")
             continue
-        n = float(new_timings[name].get("total", 0.0))
-        regressed = (
-            not cross_engine
-            and b >= min_seconds
-            and n > b * (1.0 + timing_threshold)
-        )
-        diff.deltas.append(Delta("timing", name, b, n, regressed))
-
-    base_gauges = base.get("metrics", {}).get("gauges", {})
-    new_gauges = new.get("metrics", {}).get("gauges", {})
-    for name in sorted(set(base_gauges) | set(new_gauges)):
-        if not name.startswith((_CPS_PREFIX,) + _SLO_PREFIXES):
-            continue
-        # Engine throughput is provenance, not a gate: report it so a
-        # cross-engine diff shows what each core actually sustained.
-        # The latency/fairness SLO gauges ride along the same way — the
-        # single-pair diff surfaces them; the N-run trend gate decides.
+        x, y = old.get(key, 0.0), cur.get(key, 0.0)
+        gated = kind == "counter" or (kind == "timing" and not cross_engine)
         diff.deltas.append(
             Delta(
-                "gauge", name,
-                float(base_gauges.get(name, 0.0)),
-                float(new_gauges.get(name, 0.0)),
-                regression=False,
+                kind, name, x, y,
+                gated and worse(
+                    key, x, y,
+                    threshold=timing_threshold,
+                    metric_threshold=metric_threshold,
+                    min_seconds=min_seconds,
+                ),
             )
         )
-
-    base_counters = base.get("metrics", {}).get("counters", {})
-    new_counters = new.get("metrics", {}).get("counters", {})
-    for name in sorted(base_counters):
-        b = float(base_counters[name])
-        if name not in new_counters:
-            diff.missing.append(f"counter:{name}")
-            continue
-        n = float(new_counters[name])
-        regressed = False
-        if metric_threshold is not None:
-            if b > 0:
-                regressed = abs(n / b - 1.0) > metric_threshold
-            else:
-                regressed = n > 0
-        diff.deltas.append(Delta("counter", name, b, n, regressed))
-
     return diff
 
 
@@ -257,20 +310,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("base", type=Path, help="baseline manifest JSON")
     parser.add_argument("new", type=Path, help="manifest JSON to check")
-    parser.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="max allowed relative stage-timing slowdown (default 0.25)",
-    )
-    parser.add_argument(
-        "--metric-threshold", type=float, default=None,
-        help="gate metric counters drifting more than this fraction in "
-        "either direction (default: report only)",
-    )
-    parser.add_argument(
-        "--min-seconds", type=float, default=0.05,
-        help="ignore timing regressions on stages whose baseline total is "
-        "below this noise floor (default 0.05s)",
-    )
+    add_judge_options(parser)
     args = parser.parse_args(argv)
 
     try:

@@ -28,7 +28,8 @@ Design constraints, in order:
 Entries are flat on purpose: per-stage timing totals, the
 ``netsim.cycles_per_sec/<engine>`` gauges, and the counter snapshot land
 in one ``metrics`` map keyed ``timing/...`` / ``gauge/...`` /
-``counter/...``, which is the shape :mod:`repro.obs.trend` analyses.
+``counter/...``, which is the shape :mod:`repro.obs.trend` analyses and
+:func:`repro.obs.compare.compare_manifests` diffs.
 Environment provenance (host, CPU count, Python/numpy versions) rides
 along so trend baselines can be scoped per host.
 """
@@ -47,12 +48,12 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 from repro.errors import ComparisonError
-from repro.obs.compare import engines_of
 
 __all__ = [
     "LEDGER_FORMAT",
     "LEDGER_SCHEMA_VERSION",
     "entry_id",
+    "engines_of",
     "manifest_entry",
     "bench_entries",
     "append_entries",
@@ -85,6 +86,20 @@ def _finish(entry: dict) -> dict:
     entry["metrics"] = {k: entry["metrics"][k] for k in sorted(entry["metrics"])}
     entry["id"] = entry_id(entry)
     return entry
+
+
+#: Counter prefix that stamps which simulator engine(s) a run used.
+_ENGINE_PREFIX = "netsim.engine_runs/"
+
+
+def engines_of(manifest: Mapping) -> frozenset:
+    """The simulator engines a manifest's run used (empty if none)."""
+    counters = manifest.get("metrics", {}).get("counters", {})
+    return frozenset(
+        name[len(_ENGINE_PREFIX):]
+        for name, count in counters.items()
+        if name.startswith(_ENGINE_PREFIX) and count
+    )
 
 
 def manifest_entry(manifest: Mapping) -> dict:
@@ -305,17 +320,21 @@ def load_entries(paths: Sequence) -> List[dict]:
     return merged
 
 
-def series_key(entry: Mapping) -> Tuple[str, str, str, str]:
+def series_key(entry: Mapping) -> Tuple[str, str, str, str, str]:
     """The trend-series identity of an entry.
 
     Runs trend together only when they measured the same thing on the
-    same machine: ``(kind, experiment, scale, host)``.  Host is part of
-    the key so noise floors and baselines are scoped per machine —
-    entries from different hosts never gate each other.
+    same machine with the same simulator cores: ``(kind, experiment,
+    scale, host, tiers)``.  Host is part of the key so noise floors and
+    baselines are scoped per machine; ``tiers`` joins the entry's engine
+    names with ``+`` (``""`` when untagged, so untagged entries form a
+    tier of their own) so a fast-engine run never gates against a
+    batched or reference baseline.
     """
     return (
         str(entry.get("kind", "")),
         str(entry.get("experiment", "")),
         str(entry.get("scale", "")),
         str(entry.get("host") or ""),
+        "+".join(str(e) for e in entry.get("engines") or ()),
     )

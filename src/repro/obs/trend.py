@@ -4,36 +4,21 @@
 answers the fleet-scale question: *across the last N runs of each
 experiment, is any metric drifting the wrong way?*  It consumes the
 ledger entries of :mod:`repro.obs.ledger`, groups them into series —
-``(kind, experiment, scale, host)``, so baselines and noise floors are
-scoped per machine — and fits a robust per-metric baseline (the window
-median) plus a two-segment changepoint split, reusing the thresholds and
-noise floors of :mod:`repro.obs.compare`:
+``(kind, experiment, scale, host, engine tiers)``, so baselines and noise
+floors are scoped per machine and per simulator core, and untagged
+entries form a tier of their own — and fits a robust per-metric baseline
+(the window median) plus a two-segment changepoint split.  The judge is
+:func:`repro.obs.compare.worse`, the same rule ``compare-runs`` and
+``benchmarks/compare.py`` apply to a pair:
 
-- ``timing/...`` metrics (stage totals, benchmark means) gate when the
-  latest run sits more than ``threshold`` above the window median and
-  the baseline clears the ``min_seconds`` noise floor, **or** when a
-  sustained changepoint (suffix of >= 2 runs) shifted the median up by
-  more than ``threshold`` — a single noisy run cannot hide a step
-  change, and a step change cannot hide behind a recovered median;
-- ``gauge/netsim.cycles_per_sec/...`` gauges gate symmetrically
-  downward: engine throughput dropping more than ``threshold`` below
-  the window median (or across a sustained changepoint) is a
-  regression;
-- the latency SLO gauges (``gauge/netsim.latency_p99``,
-  ``gauge/netsim.worst_pair_p99``) gate upward like timings — a tail
-  that blows past the window median ships no more silently than a slow
-  stage — and ``gauge/netsim.fairness_jain`` gates downward (a fairness
-  collapse is a regression).  ``gauge/core.arena_bytes`` (resident
-  path-table footprint) gates upward: a path-store memory blow-up is a
-  perf regression even when wall time holds.  Other gauges —
-  ``core.pairs_resident`` among them — are reported, never gated;
-- ``counter/...`` metrics gate in either direction only when
-  ``metric_threshold`` is given, exactly like ``compare-runs`` —
-  counters are deterministic for a fixed seed, so the drift gate
-  doubles as a reproducibility check;
-- series whose entries ran **different engine tiers** (reference, fast,
-  batched) get the same cross-engine waiver as ``compare-runs``:
-  timings are reported, not gated, and the report says why.
+- a metric regresses when ``worse(metric, window median, latest)``;
+- a metric in a gated family (:data:`repro.obs.compare.GATED`) also
+  regresses when the segment medians across its best changepoint
+  (suffix of >= 2 runs) are ``worse`` — a single noisy run cannot hide
+  a step change, and a step change cannot hide behind a recovered
+  median;
+- ``counter/...`` metrics gate only with ``metric_threshold``, against
+  the window median; other gauges are reported, never gated.
 
 Gating needs history: series shorter than ``min_runs`` (default 3) are
 reported but never gate.  The CLI family::
@@ -64,6 +49,7 @@ from statistics import median
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ComparisonError
+from repro.obs.compare import add_judge_options, direction, worse
 from repro.obs.ledger import default_ledger_path, load_entries, series_key
 
 __all__ = [
@@ -75,29 +61,12 @@ __all__ = [
     "main",
 ]
 
-#: Prefix of the engine-throughput gauges (higher is better, gated).
-CPS_PREFIX = "gauge/netsim.cycles_per_sec/"
-
-#: Latency SLO gauges (cycle-valued; larger is worse, gated).
-LATENCY_GAUGES = (
-    "gauge/netsim.latency_p99",
-    "gauge/netsim.worst_pair_p99",
-)
-
-#: Fairness gauges (Jain index in (0, 1]; smaller is worse, gated).
-FAIRNESS_GAUGES = ("gauge/netsim.fairness_jain",)
-
-#: Path-table footprint gauges (bytes resident; larger is worse, gated).
-#: ``core.pairs_resident`` stays report-only — pair counts track the
-#: workload, not the store's efficiency.
-FOOTPRINT_GAUGES = ("gauge/core.arena_bytes",)
-
 
 @dataclass(frozen=True)
 class MetricTrend:
     """The trajectory of one metric within one series."""
 
-    series: Tuple[str, str, str, str]  # (kind, experiment, scale, host)
+    series: Tuple[str, str, str, str, str]  # (kind, experiment, scale, host, tiers)
     metric: str                        # "timing/..." | "gauge/..." | "counter/..."
     values: Tuple[float, ...]          # time-ordered window
     baseline: float                    # window median
@@ -105,12 +74,12 @@ class MetricTrend:
     regression: bool
     changepoint: Optional[int] = None  # split index of the best changepoint
     shift: Optional[float] = None      # relative median shift across it
-    note: str = ""                     # e.g. "cross-engine: not gated"
+    note: str = ""                     # e.g. "changepoint at run 3"
 
     @property
     def label(self) -> str:
-        kind, experiment, scale, host = self.series
-        where = f"@{host}" if host else ""
+        kind, experiment, scale, host, tiers = self.series
+        where = (f"@{host}" if host else "") + (f"/{tiers}" if tiers else "")
         if kind == "bench":
             return f"{experiment}{where}"
         return f"{experiment}[{scale}]{where}"
@@ -124,31 +93,15 @@ class MetricTrend:
 
 @dataclass
 class TrendReport:
-    """Every analysed metric trend plus series-level notes."""
+    """Every analysed metric trend."""
 
     trends: List[MetricTrend] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
     n_entries: int = 0
     n_series: int = 0
 
     @property
     def regressions(self) -> List[MetricTrend]:
         return [t for t in self.trends if t.regression]
-
-
-def _direction(metric: str) -> Optional[int]:
-    """+1 when larger is worse, -1 when smaller is worse, None = report only."""
-    if metric.startswith("timing/"):
-        return 1
-    if metric.startswith(CPS_PREFIX):
-        return -1
-    if metric in LATENCY_GAUGES:
-        return 1
-    if metric in FAIRNESS_GAUGES:
-        return -1
-    if metric in FOOTPRINT_GAUGES:
-        return 1
-    return None
 
 
 def _changepoint(values: Sequence[float]) -> Tuple[Optional[int], Optional[float]]:
@@ -198,26 +151,21 @@ def analyze_entries(
 
     ``window`` keeps only each series' most recent N entries.
     ``metric_filter`` is a substring filter on metric names (the CLI's
-    ``--metric``).  Thresholds mirror :func:`repro.obs.compare.
-    compare_manifests`; see the module docstring for the gating rules.
+    ``--metric``).  The thresholds are those of :func:`repro.obs.compare.
+    worse`; see the module docstring for the gating rules.
     """
     series: Dict[tuple, List[Mapping]] = {}
     for entry in entries:
         series.setdefault(series_key(entry), []).append(entry)
 
+    judge = dict(
+        threshold=threshold, metric_threshold=metric_threshold, min_seconds=min_seconds
+    )
     report = TrendReport(n_entries=len(entries), n_series=len(series))
     for key in sorted(series):
         group = series[key]
         if window is not None and window > 0:
             group = group[-window:]
-        engine_sets = {tuple(e.get("engines") or ()) for e in group}
-        cross_engine = len(engine_sets) > 1
-        if cross_engine:
-            kinds = sorted({e for s in engine_sets for e in s})
-            report.notes.append(
-                f"{'/'.join(k for k in key if k)}: entries mix engine tiers "
-                f"({', '.join(kinds) or 'none'}) — timings reported, not gated"
-            )
         metrics = sorted({m for e in group for m in (e.get("metrics") or {})})
         for name in metrics:
             if metric_filter and metric_filter not in name:
@@ -232,40 +180,16 @@ def analyze_entries(
             base = median(values)
             latest = values[-1]
             cp, shift = _changepoint(values)
-            direction = _direction(name)
-            gateable = len(values) >= min_runs
-            regression = False
-            note = ""
-            if direction is not None and cross_engine and name.startswith("timing/"):
-                note = "cross-engine: not gated"
-            elif direction == 1 and gateable:
-                floor_ok = base >= min_seconds
-                if floor_ok and latest > base * (1.0 + threshold):
+            regression, note = False, ""
+            if len(values) >= min_runs:
+                if worse(name, base, latest, **judge):
                     regression = True
                 elif (
                     cp is not None
-                    and shift is not None
-                    and shift > threshold
-                    and median(values[:cp]) >= min_seconds
+                    and direction(name) is not None
+                    and worse(name, median(values[:cp]), median(values[cp:]), **judge)
                 ):
-                    regression = True
-                    note = f"changepoint at run {cp}"
-            elif direction == -1 and gateable:
-                if base > 0 and latest < base * (1.0 - threshold):
-                    regression = True
-                elif cp is not None and shift is not None and shift < -threshold:
-                    regression = True
-                    note = f"changepoint at run {cp}"
-            elif (
-                direction is None
-                and name.startswith("counter/")
-                and metric_threshold is not None
-                and gateable
-            ):
-                if base > 0:
-                    regression = abs(latest / base - 1.0) > metric_threshold
-                else:
-                    regression = latest > 0
+                    regression, note = True, f"changepoint at run {cp}"
             report.trends.append(
                 MetricTrend(
                     series=key,
@@ -339,28 +263,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_trend_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--window", type=int, default=None, metavar="N",
+        "--window", type=_at_least_one, default=None, metavar="N",
         help="analyse only each series' most recent N runs (default: all)",
     )
+    add_judge_options(parser)
     parser.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="max allowed relative drift of gated metrics: timings up, "
-        "cycles/sec down (default 0.25)",
-    )
-    parser.add_argument(
-        "--metric-threshold", type=float, default=None,
-        help="gate counters drifting more than this fraction in either "
-        "direction (default: report only)",
-    )
-    parser.add_argument(
-        "--min-seconds", type=float, default=0.05,
-        help="noise floor: ignore timing trends whose baseline is below "
-        "this many seconds (default 0.05)",
-    )
-    parser.add_argument(
-        "--min-runs", type=int, default=3,
+        "--min-runs", type=_at_least_one, default=3,
         help="series shorter than this never gate (default 3)",
     )
     parser.add_argument(

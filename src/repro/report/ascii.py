@@ -25,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs.compare import reported
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -596,18 +597,6 @@ def congestion_tree_text(
     return "\n".join(lines)
 
 
-#: Metric prefixes shown by default in trend tables (the gated families
-#: plus the latency/fairness SLO gauges).
-_TREND_DEFAULT_PREFIXES = (
-    "timing/",
-    "gauge/netsim.cycles_per_sec/",
-    "gauge/netsim.latency_",
-    "gauge/netsim.mean_latency",
-    "gauge/netsim.fairness_",
-    "gauge/netsim.worst_pair_",
-)
-
-
 def trend_table(
     report,
     *,
@@ -620,23 +609,17 @@ def trend_table(
     One row per (series, metric): run count, a fixed-width sparkline of
     the window (oldest to newest), the window-median baseline, the
     latest value, the relative delta, and a flag column — ``REGRESSION``
-    for gated drifts, the changepoint/cross-engine note otherwise.  By
-    default only the gated metric families (timings, cycles/sec) and
-    any regressed metric are shown; ``show_all`` includes counters and
-    other gauges.  Deterministic: fixed sparkline width, no terminal
-    queries.
+    for gated drifts, plus the changepoint note.  By default only the
+    metrics :func:`repro.obs.compare.reported` names (timings, engine
+    cycles/sec, the latency/fairness SLO gauges) and any regressed
+    metric are shown; ``show_all`` includes counters and other gauges.
+    Deterministic: fixed sparkline width, no terminal queries.
     """
-    lines = [f"NOTE: {note}" for note in report.notes]
     shown = [
-        t
-        for t in report.trends
-        if show_all
-        or t.regression
-        or t.metric.startswith(_TREND_DEFAULT_PREFIXES)
+        t for t in report.trends if show_all or t.regression or reported(t.metric)
     ]
     if not shown:
-        lines.append(f"{title}: (no trendable metrics)")
-        return "\n".join(lines)
+        return f"{title}: (no trendable metrics)"
     rows = []
     for t in shown:
         delta = 100.0 * (t.ratio - 1.0) if t.baseline > 0 else float("inf")
@@ -655,19 +638,14 @@ def trend_table(
                 flag,
             ]
         )
-    lines.append(
-        format_table(
-            ["series", "metric", "n", "trend", "baseline", "latest",
-             "delta", "flag"],
-            rows,
-            title=title,
-        )
+    table = format_table(
+        ["series", "metric", "n", "trend", "baseline", "latest",
+         "delta", "flag"],
+        rows,
+        title=title,
     )
     n = len(report.regressions)
-    lines.append(
-        f"{n} trend regression(s)" if n else "no trend regressions"
-    )
-    return "\n".join(lines)
+    return table + (f"\n{n} trend regression(s)" if n else "\nno trend regressions")
 
 
 def render_dashboard(

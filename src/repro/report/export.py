@@ -12,6 +12,7 @@ from typing import Any, List, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.base import ExperimentResult
+from repro.obs.compare import reported
 
 __all__ = [
     "result_to_json",
@@ -245,10 +246,11 @@ def trend_dashboard_html(report, entries: Sequence[Mapping]) -> str:
     ``report`` is a :class:`repro.obs.trend.TrendReport`; ``entries``
     the time-ordered ledger entries it was computed from.  Sections:
     headline stat tiles, regression callouts, the engine-tier breakdown,
-    and one trend card per gated-family metric (timings, cycles/sec)
-    with an inline SVG chart and a collapsible value table.  Pure
-    function of its inputs — no timestamps, no randomness — so the
-    page is byte-identical across renders of the same ledger.
+    and one trend card per metric :func:`repro.obs.compare.reported`
+    names or that regressed, with an inline SVG chart and a collapsible
+    value table.  Pure function of its inputs — no timestamps, no
+    randomness — so the page is byte-identical across renders of the
+    same ledger.
     """
     esc = _html.escape
     n_reg = len(report.regressions)
@@ -267,9 +269,9 @@ def trend_dashboard_html(report, entries: Sequence[Mapping]) -> str:
     out = _page(
         "run ledger dashboard",
         "Run ledger — trend observatory",
-        "Cross-run metric trends from the persistent run ledger; "
-        "regressions gate per-host against the window median and "
-        "sustained changepoints.",
+        "Cross-run metric trends from the persistent run ledger; series "
+        "are per host and engine tier, and regressions gate against the "
+        "window median and sustained changepoints.",
     )
     out.append(_tiles([
         ("Ledger entries", str(report.n_entries), ""),
@@ -278,7 +280,7 @@ def trend_dashboard_html(report, entries: Sequence[Mapping]) -> str:
         ("Engine tiers", str(len(engines)), ""),
     ]))
 
-    if report.regressions or report.notes:
+    if report.regressions:
         out.append("<h2>Callouts</h2>")
         for t in report.regressions:
             delta = 100.0 * (t.ratio - 1.0) if t.baseline > 0 else float("inf")
@@ -287,11 +289,6 @@ def trend_dashboard_html(report, entries: Sequence[Mapping]) -> str:
                 f'<div class="callout"><span class="tag">⚠ REGRESSION</span> '
                 f"{esc(t.label)} · {esc(t.metric)}: latest {_fmt(t.latest)} "
                 f"vs baseline {_fmt(t.baseline)} ({delta:+.1f}%){note}</div>"
-            )
-        for note in report.notes:
-            out.append(
-                f'<div class="callout" style="border-left-color:'
-                f'var(--axis)">{esc(note)}</div>'
             )
 
     if engines:
@@ -309,17 +306,7 @@ def trend_dashboard_html(report, entries: Sequence[Mapping]) -> str:
             )
         out.append("</table>")
 
-    cards = [
-        t
-        for t in report.trends
-        if t.regression
-        or t.metric.startswith("timing/")
-        or t.metric.startswith("gauge/netsim.cycles_per_sec/")
-        or t.metric.startswith("gauge/netsim.latency_")
-        or t.metric.startswith("gauge/netsim.mean_latency")
-        or t.metric.startswith("gauge/netsim.fairness_")
-        or t.metric.startswith("gauge/netsim.worst_pair_")
-    ]
+    cards = [t for t in report.trends if t.regression or reported(t.metric)]
     out.append("<h2>Metric trends</h2>")
     if not cards:
         out.append('<p class="sub">No trendable metrics in the ledger.</p>')

@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.topology import Jellyfish
+
+
+@pytest.fixture(scope="session")
+def bench_compare():
+    """``benchmarks/compare.py``, loaded by path (it is a script, not a module)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "compare.py"
+    spec = importlib.util.spec_from_file_location("bench_compare", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -121,7 +121,7 @@ def test_entry_id_is_content_based():
 
 def test_series_key_scopes_per_host():
     a = manifest_entry(_manifest())
-    assert series_key(a) == ("manifest", "fig9", "small", a["host"])
+    assert series_key(a) == ("manifest", "fig9", "small", a["host"], "fast")
     b = dict(a, host="elsewhere")
     assert series_key(b) != series_key(a)
 

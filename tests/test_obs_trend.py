@@ -8,6 +8,8 @@ byte-identically from the same fixture ledger — no timestamps, no
 randomness, no iteration-order leaks.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.runner import main as runner_main
@@ -15,6 +17,7 @@ from repro.obs.ledger import (
     LEDGER_FORMAT,
     LEDGER_SCHEMA_VERSION,
     append_entries,
+    bench_entries,
     entry_id,
 )
 from repro.obs.trend import analyze_entries, main as runs_main
@@ -126,14 +129,18 @@ def test_window_trims_old_history():
     assert trend.values == (1.0, 1.0, 1.0)
 
 
-def test_cross_engine_series_waives_timings():
+def test_engine_tiers_trend_apart():
+    # A batched run is a series of its own: it never gates against a
+    # fast-engine baseline, and it does not waive the fast series.
     entries = _timing_series([1.0, 1.0], engines=("fast",))
     entries.append(_entry(2, timing=5.0, engines=("batched",)))
     report = analyze_entries(entries)
+    assert report.n_series == 2
     assert report.regressions == []
-    (trend,) = report.trends
-    assert trend.note == "cross-engine: not gated"
-    assert any("mix engine tiers" in note for note in report.notes)
+    entries.append(_entry(3, timing=5.0, engines=("fast",)))
+    (trend,) = analyze_entries(entries).regressions
+    assert trend.values == (1.0, 1.0, 5.0)
+    assert trend.label.endswith("/fast")
 
 
 def test_metric_filter_narrows_analysis():
@@ -206,6 +213,47 @@ def test_cli_merges_multiple_ledgers(tmp_path):
     )
     assert runs_main(["gate", "--ledger", seed, "--ledger", fresh]) == 1
     assert runs_main(["gate", "--ledger", seed]) == 0
+
+
+SEED_LEDGER = Path(__file__).resolve().parents[1] / "benchmarks" / "LEDGER_seed.jsonl"
+
+
+def _fast_cycles_export(day, mean):
+    """A pytest-benchmark export of one fast-engine cycle-loop row."""
+    return {
+        "datetime": f"2026-09-0{day}T00:00:00+00:00",
+        "machine_info": {"node": "vm"},
+        "benchmarks": [{
+            "name": "test_perf_simulator_cycles",
+            "stats": {"mean": mean, "min": mean},
+            "extra_info": {"engines": ["fast"]},
+        }],
+    }
+
+
+def test_seed_ledger_gates_a_fast_engine_slowdown(tmp_path, capsys):
+    # The committed trajectory gates clean and waives nothing...
+    assert runs_main(["gate", "--ledger", str(SEED_LEDGER)]) == 0
+    assert "NOTE:" not in capsys.readouterr().out
+    # ...and two more fast-engine cycle runs, one at the committed
+    # fast-engine mean (50.5 ms) and one at twice it, gate the fast tier.
+    fresh = tmp_path / "fresh.jsonl"
+    append_entries(
+        fresh,
+        bench_entries(_fast_cycles_export(1, 0.0505))
+        + bench_entries(_fast_cycles_export(2, 0.101)),
+    )
+    assert runs_main(
+        ["gate", "--ledger", str(SEED_LEDGER), "--ledger", str(fresh)]
+    ) == 1
+    rows = [
+        [cell.strip() for cell in line.split("|")]
+        for line in capsys.readouterr().out.splitlines()
+        if "REGRESSION" in line
+    ]
+    assert ["test_perf_simulator_cycles@vm/fast", "timing/mean"] in [
+        row[:2] for row in rows
+    ]
 
 
 def test_cli_list_and_show(tmp_path, capsys):
