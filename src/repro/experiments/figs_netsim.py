@@ -37,20 +37,18 @@ def _cell_throughputs(
 ) -> List[float]:
     """Per-pattern saturation throughput of one (scheme, mechanism) cell.
 
-    With ``config.batch_lanes > 1`` and two or more patterns, the cell's
-    patterns climb the rate ladder in lock-step through the batched
-    engine (:func:`~repro.netsim.parallel.run_batched_ladders`, the
-    grid's own rung stepper), and each pattern's telemetry is merged home
-    in serial (pattern-major, rate-minor) order afterwards — so
-    throughputs and run artifacts are byte-identical to the per-pattern
-    serial sweeps.  A one-pattern cell would only make one-lane batches,
-    which run slower than the fast engine, so it stays serial, as do
-    mechanisms the batched engine cannot take (vanilla UGAL) and every
-    cell while the flight recorder is on.
+    With ``config.batch_lanes > 1``, the cell's patterns climb the rate
+    ladder in lock-step through the batched engine
+    (:func:`~repro.netsim.parallel.run_batched_ladders`, the grid's own
+    rung stepper, which runs a rung with one surviving pattern on the
+    fast engine), and each pattern's telemetry is merged home in serial
+    (pattern-major, rate-minor) order afterwards — so throughputs and run
+    artifacts are byte-identical to the per-pattern serial sweeps.
+    Mechanisms the batched engine cannot take (vanilla UGAL) stay serial,
+    as does every cell while the flight recorder is on.
     """
     batched = (
         config.batch_lanes > 1
-        and len(patterns) > 1
         and mechanism in BATCHABLE_MECHANISMS
         and not obs_trace.enabled()
     )
@@ -86,9 +84,9 @@ def run_fig(
     ``steady_state=True`` switches every cell's simulator to
     convergence-driven run control (auto-extended warmup, early
     measurement stop) instead of the preset's fixed cycle budget.
-    ``batch_lanes=N`` runs each multi-pattern cell's patterns as
-    lock-step lanes of the batched engine; one-pattern cells stay on the
-    fast engine (results byte-identical either way).
+    ``batch_lanes=N`` runs each cell's patterns as lock-step lanes of
+    the batched engine; a rung with one pattern left runs on the fast
+    engine (results byte-identical either way).
     """
     if batch_lanes > 1 and steady_state:
         raise ConfigurationError(

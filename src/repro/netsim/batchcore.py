@@ -24,7 +24,10 @@ the serial engines use.  Per-phase strategy:
   ``numpy.random.Generator`` and makes exactly the serial per-cycle call
   sequence on it (``random(n_hosts)``, ``dests``, and the fast core's
   batched Lemire replay :func:`repro.netsim.fastcore.draw_batch`), so
-  each lane's RNG stream is bit-identical to its serial run;
+  each lane's RNG stream is bit-identical to its serial run; each lane
+  gathers its launchers' pair rows and draws, and every launch of the
+  cycle is then routed and scattered by one vectorized pass per
+  mechanism, merged across lanes;
 - **allocation** — a cycle is *clean* when every head-of-line request
   has downstream credit, no two requests share an output port, and no
   input port exceeds its speedup; clean cycles (the common case below
@@ -69,13 +72,7 @@ import numpy as np
 from repro.core.cache import PathCache
 from repro.errors import ConfigurationError, SimulationError
 from repro.netsim.config import SimConfig
-from repro.netsim.fastcore import (
-    _tables_for,
-    draw_batch,
-    pick_ksp_adaptive,
-    pick_ksp_ugal,
-    pick_random,
-)
+from repro.netsim.fastcore import _DRAW_PLAN, _tables_for, draw_batch
 from repro.netsim.mechanisms import make_mechanism
 from repro.netsim.network import NetworkWiring
 from repro.netsim.simulator import (
@@ -103,21 +100,11 @@ __all__ = [
     "lane_vc_count",
 ]
 
-#: Mechanisms with an array-native batched implementation.  Vanilla UGAL
-#: ("ugal") builds composite Valiant routes through its mechanism object
-#: at launch time and is excluded; the grid runner keeps such cells on
-#: the per-run fast engine.
-BATCHABLE_MECHANISMS = ("sp", "random", "round_robin", "ksp_ugal", "ksp_adaptive")
-
-#: Per-mechanism launch draw plan: (draws per multi-path choose, skip the
-#: draw for single-path pairs, bound offset) — mirrors the fast core.
-_DRAW_PLAN: Dict[str, Tuple[int, bool, int]] = {
-    "sp": (0, True, 0),
-    "round_robin": (0, True, 0),
-    "random": (1, False, 0),
-    "ksp_ugal": (1, True, 1),
-    "ksp_adaptive": (2, True, 0),
-}
+#: Mechanisms with an array-native batched implementation: those with a
+#: launch draw plan.  Vanilla UGAL ("ugal") builds composite Valiant
+#: routes through its mechanism object at launch time and is excluded;
+#: the grid runner keeps such cells on the per-run fast engine.
+BATCHABLE_MECHANISMS = tuple(_DRAW_PLAN)
 
 
 def lane_vc_count(
@@ -208,7 +195,7 @@ class BatchSimulator:
                 raise ConfigurationError(
                     f"injection_rate must be in (0, 1], got {lane.injection_rate}"
                 )
-            if lane.mechanism not in _DRAW_PLAN:
+            if lane.mechanism not in BATCHABLE_MECHANISMS:
                 raise ConfigurationError(
                     f"mechanism {lane.mechanism!r} has no batched "
                     f"implementation (batchable: {BATCHABLE_MECHANISMS})"
@@ -343,8 +330,8 @@ class BatchSimulator:
         self._qord_np: List[Optional[np.ndarray]] = [None] * N
         # Fixed-destination lanes (single-flow pattern traffic): every
         # packet from host h targets the same destination, so the
-        # host -> pair-row mapping is a per-lane constant and the whole
-        # launch gather (pair lookup, draw bounds) becomes array math.
+        # host -> pair-row mapping is a per-lane constant (``_hrow``) and
+        # the source queues hold bare create times.
         self._fixed_dst: List[Optional[np.ndarray]] = []
         for t in self._traffics:
             fd = None
@@ -355,26 +342,19 @@ class BatchSimulator:
                     fd[src] = t._flat[t._offsets[src]]
             self._fixed_dst.append(fd)
         self._hrow = np.full(N * self._n_hostsG, -1, dtype=np.int64)
-        # Fixed-destination lanes outside round-robin store bare create
-        # times in their source queues (the destination is derivable),
-        # and only ever launch through :meth:`_launch_fixed`.
-        self._q_ints = [
-            fd is not None and m != "round_robin"
-            for fd, m in zip(self._fixed_dst, self._mech_names)
-        ]
-        self._rr_flow: List[Dict[Tuple[int, int], int]] = [{} for _ in range(N)]
+        # Round-robin path counters, keyed by (lane, source, destination)
+        # flattened to one int.
+        self._rr_flow: Dict[int, int] = {}
         self._plans = [_DRAW_PLAN[m] for m in self._mech_names]
         self._est_first = config.adaptive_estimate == "first"
         self._live: List[int] = list(range(N))
 
-        # Padded per-pair route tables for the vectorized launch path:
-        # one row per pair record, columns are candidate paths (route id,
-        # hop count, first link, canonical rank).  Rows materialise on
-        # first use; width grows if a record ever exceeds it.  The dict
-        # maps pair key -> (row, k, rec) so the launch gather does one
-        # lookup per launcher.
-        self._pairx: Dict[int, tuple] = {}
-        self._pend: Optional[list] = None
+        # Padded per-pair route tables for the vectorized launch: one row
+        # per pair record, columns are candidate paths (route id, hop
+        # count, first link, canonical rank).  Rows materialise on first
+        # use; width grows if a record ever exceeds it.  The dict maps
+        # pair key -> row.
+        self._pairx: Dict[int, int] = {}
         self._row_n = 0
         self._row_cap = 0
         self._kmax = 8
@@ -632,7 +612,7 @@ class BatchSimulator:
             dsts = self._traffics[lane].dests(srcs, rng)
             srcq = self._srcq[lane]
             qord = self._qord[lane]
-            if self._q_ints[lane]:
+            if self._fixed_dst[lane] is not None:
                 for h in srcs.tolist():
                     q = srcq.get(h)
                     if q is None:
@@ -653,25 +633,23 @@ class BatchSimulator:
             self._n_sourced[lane] += len(srcs)
 
     def _launch_from_sources(self, now: int) -> None:
-        todo = [lane for lane in self._live if self._n_sourced[lane]]
-        if not todo:
-            return
         # Lanes gather (and draw their RNG values) strictly in lane
-        # order; large vectorizable launch tails are deferred and
-        # flushed as one merged scatter per mechanism.  Deferral only
-        # reorders freelist pops across lanes, which changes internal
-        # pid values and nothing observable: every per-pid write lands
-        # in per-packet or per-buffer cells, and no statistic reads the
-        # pid value itself.
-        pend = self._pend = []
-        for lane in todo:
-            self._launch_lane(lane, now)
-        self._pend = None
+        # order; the launches are then flushed as one merged scatter per
+        # mechanism.  Deferral only reorders freelist pops across lanes,
+        # which changes internal pid values and nothing observable: every
+        # per-pid write lands in per-packet or per-buffer cells, and no
+        # statistic reads the pid value itself.
+        pend = []
+        for lane in self._live:
+            if self._n_sourced[lane]:
+                item = self._launch_lane(lane)
+                if item is not None:
+                    pend.append(item)
         if pend:
             self._flush_launches(now, pend)
 
     def _flush_launches(self, now: int, pend: list) -> None:
-        """Flush deferred launch tails, merged across lanes per mech."""
+        """Flush the gathered launches, merged across lanes per mech."""
         total = sum(p[2].size for p in pend)
         self._ensure_pk(self._pk_n + total)
         bucket = self._cal[(now + self._cl) % self._calP]
@@ -703,21 +681,15 @@ class BatchSimulator:
                 lanev * self._n_bufs, lanev * self._n_links, lanev,
             )
 
-    def _launch_lane(self, lane: int, now: int) -> None:
-        """One lane's source launch — the fast core's batched launch with
-        this lane's RNG, source queues and buffer/link offsets."""
-        free = self._free
-        host_buf, host_sw = self._host_buf, self._host_sw
-        pair_get = self._t.pair.get
-        n_sw = self._n_sw
+    def _launch_lane(self, lane: int) -> Optional[tuple]:
+        """One lane's launch gather — the fast core's gather and draw with
+        this lane's RNG, source queues and buffer/link offsets.
+
+        Returns the lane's pending launch ``(lane, mech, hosts, rows,
+        vals, t0, dst)`` for :meth:`_flush_launches`, or None when no
+        host launches.  Queue pops happen here (lane-local).
+        """
         loff = lane * self._n_bufs
-        ndraw, skip_k1, bnd_off = self._plans[lane]
-        mech = self._mech_names[lane]
-        launchers = []
-        lapp = launchers.append
-        bounds: List[int] = []
-        bapp = bounds.append
-        lazy = 0
         # Nonempty-queue scan and credit pre-scan, both vectorized over
         # the insertion-order host mirror (``_qord``/``_qlen`` — see
         # __init__): the filtered host sequence equals the serial dict
@@ -731,226 +703,43 @@ class BatchSimulator:
                 self._qord[lane], dtype=np.int64
             )
         if not qarr.size:
-            return
+            return None
         nz = qarr[self._qlen[lane * self._n_hostsG + qarr] > 0]
         if not nz.size:
-            return
-        okm = free[loff + self._host_buf_np[nz]] > 0
-        stalls = int(nz.size) - int(okm.sum())
+            return None
+        okm = self._free[loff + self._host_buf_np[nz]] > 0
+        sel = nz[okm]
+        stalls = int(nz.size) - int(sel.size)
+        self._stalls[lane] += stalls
         if self._ls_stall is not None and stalls:
             # Each stalled host appears once, so the fancy add is exact.
             self._ls_stall[
                 lane * self._n_links + self._inj_lbase + nz[~okm]
             ] += 1
-        if self._q_ints[lane]:
-            self._launch_fixed(lane, nz[okm], stalls)
-            return
-        srcq = self._srcq[lane]
-        pairx_get = self._pairx.get
-        for h in nz[okm].tolist():
-            q = srcq[h]
-            sw_s = host_sw[h]
-            sw_d = host_sw[q[0][1]]
-            key = sw_s * n_sw + sw_d
-            x = pairx_get(key)
-            if x is None:
-                rec = pair_get(key)
-                if rec is None:
-                    # The lazy path counts this launcher's hit-or-miss
-                    # itself (a cold pair is a miss, not a hit).
-                    rec = self._lazy_pair_rec(lane, sw_s, sw_d)
-                    lazy += 1
-                x = self._add_row(key, rec)
-            row, k, rec = x
-            if k > 1:
-                if ndraw == 2:
-                    bapp(k)
-                    bapp(k - 1)
-                elif ndraw == 1:
-                    bapp(k - bnd_off)
-            elif not skip_k1:
-                bapp(1)
-            lapp((h, q, rec, row))
-        if not launchers:
-            self._stalls[lane] += stalls
-            return
-        vals = draw_batch(self.rngs[lane], bounds) if bounds else ()
-        launched = len(launchers)
-        # Every prebuilt record comes from the warmed cache, so each such
-        # launch mirrors one reference-engine cache hit; tallied per lane
-        # and published (with the lane's precompute counts) at publish
-        # time.  Launchers that materialised their record lazily above
-        # already counted their hit-or-miss.  Drain-time hits go straight
-        # to the live registry — the serial engines do the same, having
-        # already published their run totals at run end.
-        self.paths.hits += launched - lazy
-        if not self._draining:
-            self._lane_hits[lane] += launched - lazy
-        else:
-            reg = metrics._active
-            if reg is not None and launched - lazy:
-                reg.counter("core.cache.hit").inc(launched - lazy)
-        if launched >= 16 and mech != "round_robin":
-            hosts = np.fromiter(
-                (l[0] for l in launchers), dtype=np.int64, count=launched
-            )
-            rows_a = np.fromiter(
-                (l[3] for l in launchers), dtype=np.int64, count=launched
-            )
-            td = np.asarray(
-                [q.popleft() for _h, q, _r, _w in launchers],
-                dtype=np.int64,
-            )
-            self._qlen[lane * self._n_hostsG + hosts] -= 1
-            self._pend.append(
-                (lane, mech, hosts, rows_a, vals, td[:, 0], td[:, 1])
-            )
-            self._stalls[lane] += stalls
-            self._n_flying[lane] += launched
-            self._n_sourced[lane] -= launched
-            return
-        self._ensure_pk(self._pk_n + launched)
-        freelist = self._pk_free
-        bucket = self._cal[(now + self._cl) % self._calP]
-        if mech == "sp":
-            picker = None
-        elif mech == "round_robin":
-            picker = self._rr_flow[lane]
-        elif mech == "random":
-            picker = pick_random
-        elif mech == "ksp_ugal":
-            picker = pick_ksp_ugal
-        else:
-            picker = pick_ksp_adaptive
-        locc = lane * self._n_links
-        occ, est_first, cl = self._occ, self._est_first, self._cl
-        ls_fwd = self._ls_fwd
-        inj_lb = self._inj_lbase
-        c = 0
-        pid_l: List[int] = []
-        rid_l: List[int] = []
-        t0_l: List[int] = []
-        dst_l: List[int] = []
-        idx_l: List[int] = []
-        src_l: List[int] = []
-        pk_n = self._pk_n
-        for h, q, rec, _row in launchers:
-            t_create, dst = q.popleft()
-            k = rec[0]
-            if mech == "sp":
-                rid = rec[1][0]
-            elif mech == "round_robin":
-                key = (h, dst)
-                i = picker.get(key, 0)
-                picker[key] = i + 1
-                rid = rec[1][i % k]
-            elif k == 1:
-                rid = rec[1][0]
-                if not skip_k1:
-                    c += 1
-            else:
-                rid = picker(rec, vals, c, occ, locc, est_first, cl)
-                c += ndraw
-            if freelist:
-                pid = freelist.pop()
-            else:
-                pid = pk_n
-                pk_n += 1
-            pid_l.append(pid)
-            rid_l.append(rid)
-            t0_l.append(t_create)
-            dst_l.append(dst)
-            idx_l.append(loff + host_buf[h])
-            src_l.append(h)
-            if ls_fwd is not None:
-                ls_fwd[locc + inj_lb + h] += 1
-        self._pk_n = pk_n
-        if launched >= 16:
-            # One scatter per packet field (each pid and each injection
-            # buffer appears once, so plain fancy writes are exact).
-            pids = np.fromiter(pid_l, dtype=np.int64, count=launched)
-            bucket.append(pids)
-            idxs = np.fromiter(idx_l, dtype=np.int64, count=launched)
-            self._pk_rid[pids] = np.fromiter(
-                rid_l, dtype=np.int64, count=launched
-            )
-            self._pk_hop[pids] = 0
-            self._pk_t0[pids] = np.fromiter(t0_l, dtype=np.int64, count=launched)
-            self._pk_link[pids] = -1
-            self._pk_dst[pids] = np.fromiter(
-                dst_l, dtype=np.int64, count=launched
-            )
-            self._pk_dest[pids] = idxs
-            self._pk_lane[pids] = lane
-            self._pk_src[pids] = np.fromiter(
-                src_l, dtype=np.int64, count=launched
-            )
-            free[idxs] -= 1
-        else:
-            bucket.extend(pid_l)
-            pk_rid, pk_hop, pk_t0 = self._pk_rid, self._pk_hop, self._pk_t0
-            pk_link, pk_dst = self._pk_link, self._pk_dst
-            pk_dest, pk_lane = self._pk_dest, self._pk_lane
-            pk_src = self._pk_src
-            for i in range(launched):
-                pid = pid_l[i]
-                idx = idx_l[i]
-                pk_rid[pid] = rid_l[i]
-                pk_hop[pid] = 0
-                pk_t0[pid] = t0_l[i]
-                pk_link[pid] = -1
-                pk_dst[pid] = dst_l[i]
-                pk_dest[pid] = idx
-                pk_lane[pid] = lane
-                pk_src[pid] = src_l[i]
-                free[idx] -= 1
-        self._qlen[
-            lane * self._n_hostsG
-            + np.fromiter((l[0] for l in launchers), dtype=np.int64,
-                          count=launched)
-        ] -= 1
-        self._stalls[lane] += stalls
-        self._n_flying[lane] += launched
-        self._n_sourced[lane] -= launched
-
-    def _launch_fixed(self, lane: int, sel: np.ndarray, stalls: int) -> None:
-        """Launch gather for a fixed-destination lane, fully vectorized.
-
-        ``sel`` is the credit-cleared launcher hosts in serial gather
-        order.  The pair row per host is a run constant (cached in
-        ``_hrow``, materialised scalar once per host), so the RNG draw
-        bounds come straight from the row widths — built in the same
-        per-launcher order the serial loop appends them.  Queue pops
-        happen here (lane-local); the scatter is deferred to the merged
-        cross-lane flush.
-        """
-        self._stalls[lane] += stalls
         launched = sel.size
         if not launched:
-            return
+            return None
+        hosts = sel.tolist()
         hbase = lane * self._n_hostsG
-        rows = self._hrow[hbase + sel]
+        srcq = self._srcq[lane]
+        fd = self._fixed_dst[lane]
         lazy = 0
-        cold = rows < 0
-        if cold.any():
-            fd = self._fixed_dst[lane]
-            host_sw = self._host_sw
-            n_sw = self._n_sw
-            pairx_get = self._pairx.get
-            pair_get = self._t.pair.get
-            for h in sel[cold].tolist():
-                sw_s = host_sw[h]
-                sw_d = host_sw[fd[h]]
-                key = sw_s * n_sw + sw_d
-                x = pairx_get(key)
-                if x is None:
-                    rec = pair_get(key)
-                    if rec is None:
-                        rec = self._lazy_pair_rec(lane, sw_s, sw_d)
-                        lazy += 1
-                    x = self._add_row(key, rec)
-                self._hrow[hbase + h] = x[0]
+        if fd is not None:
             rows = self._hrow[hbase + sel]
+            cold = rows < 0
+            if cold.any():
+                ch = sel[cold]
+                crows, lazy = self._pair_rows(
+                    lane, ch.tolist(), fd[ch].tolist()
+                )
+                self._hrow[hbase + ch] = crows
+                rows = self._hrow[hbase + sel]
+        else:
+            rows, lazy = self._pair_rows(
+                lane, hosts, [srcq[h][0][1] for h in hosts]
+            )
+        # Draw bounds from the row widths, in the per-launcher order the
+        # serial gather appends them.
         kv = self._rk[rows]
         ndraw, skip_k1, bnd_off = self._plans[lane]
         if ndraw == 2:
@@ -961,33 +750,69 @@ class BatchSimulator:
         elif ndraw == 1:
             bounds = (kv[kv > 1] if skip_k1 else kv) - bnd_off
         else:
-            bounds = np.empty(0, dtype=np.int64)
+            bounds = kv[:0]
         vals = (
             draw_batch(self.rngs[lane], bounds.tolist())
             if bounds.size else ()
         )
-        # Cache-tally bookkeeping identical to the generic gather.
-        self.paths.hits += launched - lazy
+        # Every launch whose record was already built mirrors one
+        # reference-engine cache hit; tallied per lane and published
+        # (with the lane's precompute counts) at publish time.  Launchers
+        # whose record was built mid-run above already counted their
+        # hit-or-miss.  Drain-time hits go straight to the live registry
+        # — the serial engines do the same, having already published
+        # their run totals at run end.
+        warm = launched - lazy
+        self.paths.hits += warm
         if not self._draining:
-            self._lane_hits[lane] += launched - lazy
+            self._lane_hits[lane] += warm
         else:
             reg = metrics._active
-            if reg is not None and launched - lazy:
-                reg.counter("core.cache.hit").inc(launched - lazy)
-        srcq = self._srcq[lane]
-        t0 = np.fromiter(
-            (srcq[h].popleft() for h in sel.tolist()),
-            dtype=np.int64, count=launched,
-        )
+            if reg is not None and warm:
+                reg.counter("core.cache.hit").inc(warm)
+        if fd is not None:
+            t0 = np.fromiter(
+                (srcq[h].popleft() for h in hosts),
+                dtype=np.int64, count=launched,
+            )
+            dst = fd[sel]
+        else:
+            td = np.asarray(
+                [srcq[h].popleft() for h in hosts], dtype=np.int64
+            )
+            t0, dst = td[:, 0], td[:, 1]
         self._qlen[hbase + sel] -= 1
-        self._pend.append(
-            (lane, self._mech_names[lane], sel, rows, vals, t0,
-             self._fixed_dst[lane][sel])
-        )
         self._n_flying[lane] += launched
         self._n_sourced[lane] -= launched
+        return (lane, self._mech_names[lane], sel, rows, vals, t0, dst)
 
-    def _add_row(self, key: int, rec: tuple) -> tuple:
+    def _pair_rows(
+        self, lane: int, hosts: List[int], dsts: List[int]
+    ) -> Tuple[np.ndarray, int]:
+        """Pair rows of launchers ``hosts`` bound for ``dsts``, plus how
+        many of them built their pair record mid-run (each of those
+        counted its own cache hit-or-miss in :meth:`_lazy_pair_rec`)."""
+        host_sw = self._host_sw
+        n_sw = self._n_sw
+        pairx_get = self._pairx.get
+        rows: List[int] = []
+        rapp = rows.append
+        lazy = 0
+        for h, d in zip(hosts, dsts):
+            sw_s = host_sw[h]
+            sw_d = host_sw[d]
+            key = sw_s * n_sw + sw_d
+            row = pairx_get(key)
+            if row is None:
+                rec = self._t.pair.get(key)
+                if rec is None:
+                    rec = self._lazy_pair_rec(lane, sw_s, sw_d)
+                    lazy += 1
+                row = self._add_row(key, rec)
+            rapp(row)
+        return np.asarray(rows, dtype=np.int64), lazy
+
+    def _add_row(self, key: int, rec: tuple) -> int:
         """Materialise one pair record's padded route-table row."""
         k, rids, hops, links, rank = rec
         if k > self._kmax:
@@ -1019,17 +844,16 @@ class BatchSimulator:
         # they are k == 1 rows whose first-link column is never selected.
         self._rflink[row, :k] = [ln[0] if ln else 0 for ln in links]
         self._rrank[row, :k] = rank
-        out = (row, k, rec)
-        self._pairx[key] = out
+        self._pairx[key] = row
         self._row_n = row + 1
-        return out
+        return row
 
     def _est_pair(self, locc, rows, i, j):
         """Vectorized latency estimates for candidate columns (i, j).
 
         ``locc`` is the per-launcher link-occupancy offset — a scalar
         for single-lane calls, an array aligned with ``rows`` for
-        cross-lane merged launches.  Mirrors the scalar choosers
+        cross-lane merged launches.  Mirrors the fast core's pickers
         exactly: first-channel-queue x hops in ``"first"`` mode, hops x
         channel latency plus the queued flits along the whole route in
         ``"path"`` mode (zero-masked padded gather), all in integer
@@ -1062,20 +886,31 @@ class BatchSimulator:
         single-lane (scalar ``loff``/``locc``/``lanev``) or merged
         across lanes (arrays aligned with ``hosts``).
 
-        Exactness mirrors the scalar loop: the choosers are pure integer
-        arithmetic over the padded row tables (``rows``) and the
-        pre-launch link occupancy (static during the launch phase —
-        launches only touch injection credits, and each lane's buffer
-        range is disjoint), the draw values are consumed in the same
-        per-launcher order the bounds were built in, and pids are taken
-        from the freelist tail in pop order.  Both occupancy estimates
-        vectorize: the first-link product is a single gather, the
-        whole-path sum a zero-masked gather over the padded per-route
-        link matrix.
+        Exactness mirrors the fast core's pick pass: the choosers are
+        pure integer arithmetic over the padded row tables (``rows``)
+        and the pre-launch link occupancy (static during the launch
+        phase — launches only touch injection credits, and each lane's
+        buffer range is disjoint), the draw values are consumed in the
+        same per-launcher order the bounds were built in, and pids are
+        taken from the freelist tail in pop order.  Both occupancy
+        estimates vectorize: the first-link product is a single gather,
+        the whole-path sum a zero-masked gather over the padded
+        per-route link matrix.  A lane launches each host at most once
+        per cycle, so each round-robin counter moves at most once per
+        call.
         """
         launched = hosts.size
         if mech == "sp":
             rid_arr = self._rrids[rows, 0]
+        elif mech == "round_robin":
+            nh = self._n_hostsG
+            keys = ((lanev * nh + hosts) * nh + dstv).tolist()
+            get = self._rr_flow.get
+            cnt = [get(key, 0) for key in keys]
+            self._rr_flow.update(zip(keys, [i + 1 for i in cnt]))
+            rid_arr = self._rrids[
+                rows, np.asarray(cnt, dtype=np.int64) % self._rk[rows]
+            ]
         elif mech == "random":
             rid_arr = self._rrids[
                 rows, np.asarray(vals, dtype=np.int64)
@@ -1145,7 +980,7 @@ class BatchSimulator:
 
     def _lazy_pair_rec(self, lane: int, sw_s: int, sw_d: int) -> tuple:
         """Materialise a route record first used mid-run (the serial fast
-        core's ``_pair_rec``, with deferred registry attribution).
+        core's cold-record gather, with deferred registry attribution).
 
         ``switch_pairs`` omits same-switch pairs, so uniform traffic can
         reach a pair no precompute warmed.  The plain-int cache tallies

@@ -2,11 +2,29 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 from repro.errors import ConfigurationError
 
 __all__ = ["SimConfig"]
+
+#: Cycle, size and count fields: anything but an integer either crashes
+#: deep inside an engine or silently changes a result.
+_INT_FIELDS = (
+    "channel_latency",
+    "vc_buffer",
+    "input_speedup",
+    "warmup_cycles",
+    "sample_cycles",
+    "n_samples",
+    "drain_max_cycles",
+    "steady_window_cycles",
+    "steady_check_windows",
+    "max_warmup_cycles",
+    "batch_lanes",
+)
 
 
 @dataclass(frozen=True)
@@ -92,6 +110,12 @@ class SimConfig:
     batch_lanes: int = 1
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
         if self.engine not in ("fast", "reference"):
             raise ConfigurationError(
                 f'engine must be "fast" or "reference", got {self.engine!r}'
@@ -113,6 +137,7 @@ class SimConfig:
             "input_speedup",
             "sample_cycles",
             "n_samples",
+            "drain_max_cycles",
             "steady_window_cycles",
             "steady_check_windows",
         ):
@@ -120,10 +145,16 @@ class SimConfig:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.warmup_cycles < 0:
             raise ConfigurationError("warmup_cycles must be >= 0")
-        if self.saturation_latency <= 0:
-            raise ConfigurationError("saturation_latency must be > 0")
-        if self.steady_rel_tol <= 0:
-            raise ConfigurationError("steady_rel_tol must be > 0")
+        # NaN compares false both ways, so a NaN threshold would never
+        # trip (saturation) or never pass (convergence).
+        for name in ("saturation_latency", "steady_rel_tol"):
+            value = getattr(self, name)
+            if not (
+                isinstance(value, Real) and math.isfinite(value) and value > 0
+            ):
+                raise ConfigurationError(
+                    f"{name} must be finite and > 0, got {value!r}"
+                )
         if self.max_warmup_cycles < self.warmup_cycles:
             raise ConfigurationError(
                 "max_warmup_cycles must be >= warmup_cycles"

@@ -19,7 +19,10 @@ Python objects:
   slots with head/length columns replaces the per-buffer deques;
 - **calendar queue** — arrivals always land exactly ``channel_latency``
   cycles ahead, so ``channel_latency + 1`` circular per-cycle buckets
-  replace the global heap: O(arrivals) per cycle, no heap churn.
+  replace the global heap: O(arrivals) per cycle, no heap churn;
+- **one launch path** — every mechanism, traced or not, launches in
+  three steps per cycle: gather the launchers and their RNG bounds, one
+  :func:`draw_batch` call, then pick every route.
 
 The core reproduces the reference engine *exactly*: it draws the RNG in
 the same order (per-mechanism path choice included), emits trace /
@@ -151,14 +154,28 @@ def _draw_batch_slow(
     return vals
 
 
-# Route pickers shared by the fast and batched engines.  A picker turns a
-# multi-path pair record ``(k, rids, hops, links, rank)`` and the launch's
-# drawn values ``vals[c:]`` into a route id.  ``occ`` is the link
-# occupancy, ``locc`` the lane's offset into it (0 for the fast engine),
-# and ``est_first``/``cl`` the run's estimate kind and channel latency.
+#: Per-mechanism launch draw plan of the array engines: (draws per
+#: multi-path launch, skip the draw for single-path pairs, bound offset).
+#: ``random`` draws ``integers(k)`` even for a single-path pair (a bound
+#: of 1 consumes nothing), ``ksp_ugal`` one non-minimal challenger index
+#: (bound ``k - 1``), ``ksp_adaptive`` two distinct candidates (bounds
+#: ``k`` and ``k - 1``).  Vanilla UGAL has no plan: it composes Valiant
+#: routes through its mechanism object, which draws its own scalars.
+_DRAW_PLAN: Dict[str, Tuple[int, bool, int]] = {
+    "sp": (0, True, 0),
+    "round_robin": (0, True, 0),
+    "random": (1, False, 0),
+    "ksp_ugal": (1, True, 1),
+    "ksp_adaptive": (2, True, 0),
+}
 
-def _better(rec: tuple, i: int, j: int, occ, locc: int, est_first: bool,
-            cl: int) -> int:
+
+# Route pickers of the fast engine's launch.  A picker turns a multi-path
+# pair record ``(k, rids, hops, links, rank)`` and the launch's drawn
+# values ``vals[c:]`` into a route id.  ``occ`` is the link occupancy and
+# ``est_first``/``cl`` the run's estimate kind and channel latency.
+
+def _better(rec: tuple, i: int, j: int, occ, est_first: bool, cl: int) -> int:
     """Candidate with the lower latency estimate; ``i`` on ties.
 
     The ``"first"`` estimate is the first channel's queue times the hop
@@ -169,31 +186,31 @@ def _better(rec: tuple, i: int, j: int, occ, locc: int, est_first: bool,
     hops, links = rec[2], rec[3]
     hi, hj = hops[i], hops[j]
     if est_first:
-        ea = occ[locc + links[i][0]] * hi
-        eb = occ[locc + links[j][0]] * hj
+        ea = occ[links[i][0]] * hi
+        eb = occ[links[j][0]] * hj
     else:
         ea = hi * cl
         for link in links[i]:
-            ea += occ[locc + link]
+            ea += occ[link]
         eb = hj * cl
         for link in links[j]:
-            eb += occ[locc + link]
+            eb += occ[link]
     if ea != eb:
         return i if ea < eb else j
     return i if hi <= hj else j
 
 
-def pick_random(rec, vals, c, occ, locc, est_first, cl) -> int:
+def pick_random(rec, vals, c, occ, est_first, cl) -> int:
     """Oblivious pick: the drawn candidate."""
     return rec[1][vals[c]]
 
 
-def pick_ksp_ugal(rec, vals, c, occ, locc, est_first, cl) -> int:
+def pick_ksp_ugal(rec, vals, c, occ, est_first, cl) -> int:
     """The shortest path against one drawn non-minimal challenger."""
-    return rec[1][_better(rec, 0, 1 + vals[c], occ, locc, est_first, cl)]
+    return rec[1][_better(rec, 0, 1 + vals[c], occ, est_first, cl)]
 
 
-def pick_ksp_adaptive(rec, vals, c, occ, locc, est_first, cl) -> int:
+def pick_ksp_adaptive(rec, vals, c, occ, est_first, cl) -> int:
     """Two distinct drawn candidates, compared in canonical order."""
     i = vals[c]
     j = vals[c + 1]
@@ -203,21 +220,28 @@ def pick_ksp_adaptive(rec, vals, c, occ, locc, est_first, cl) -> int:
     rank = rec[4]
     if rank[i] > rank[j]:
         i, j = j, i
-    return rec[1][_better(rec, i, j, occ, locc, est_first, cl)]
+    return rec[1][_better(rec, i, j, occ, est_first, cl)]
+
+
+_PICKERS = {
+    "random": pick_random,
+    "ksp_ugal": pick_ksp_ugal,
+    "ksp_adaptive": pick_ksp_adaptive,
+}
 
 
 class _RouteTables:
     """Per-cache CSR route core, independent of the VC count.
 
     A route is a switch path flattened to per-hop parallel arrays; the
-    per-pair records additionally cache what the native mechanism
-    implementations need (hop counts, link-id tuples for occupancy
-    estimates, the canonical tie-break rank).  The port mapping of a hop
-    does not depend on how many VCs the run uses, so one core per
-    :class:`~repro.core.cache.PathCache` serves every engine and every
-    mechanism: the only VC-dependent column (the downstream flat buffer
-    index) lives in thin per-``n_vcs`` :class:`_FlatTables` views derived
-    from ``rf_slot``/``rf_vc``.
+    per-pair records additionally cache what the route pickers and the
+    batched engine's pair rows need (hop counts, link-id tuples for
+    occupancy estimates, the canonical tie-break rank).  The port
+    mapping of a hop does not depend on how many VCs the run uses, so
+    one core per :class:`~repro.core.cache.PathCache` serves every
+    engine and every mechanism: the only VC-dependent column (the
+    downstream flat buffer index) lives in thin per-``n_vcs``
+    :class:`_FlatTables` views derived from ``rf_slot``/``rf_vc``.
     """
 
     __slots__ = (
@@ -366,6 +390,11 @@ def _tables_for(paths: PathCache, wiring: NetworkWiring, n_vcs: int,
     if found is None:
         core = _route_core_for(paths, wiring, n_switches)
         found = tabs[n_vcs] = _FlatTables(core, n_vcs, stride_switch)
+    else:
+        # A view for another VC count may have grown the shared core
+        # since; a route found through the shared ``route_ids`` must
+        # have its ``rf_nxt`` entries here too.
+        found._sync()
     return found
 
 
@@ -471,55 +500,18 @@ class FastSimulator(Simulator):
         self._granted_in: List[int] = [0] * self.n_ports
         self._grant_ins: List[int] = []
 
-        # Native mechanism dispatch.  Mechanisms without an array-native
-        # implementation (vanilla UGAL's composite Valiant routes, or any
-        # future registry entry) fall back to the mechanism object, which
-        # must then see the live occupancy array.
-        natives = {
-            "sp": self._choose_sp,
-            "random": self._choose_random,
-            "round_robin": self._choose_round_robin,
-            "ksp_ugal": self._choose_ksp_ugal,
-            "ksp_adaptive": self._choose_ksp_adaptive,
-        }
-        native = natives.get(self.mechanism.name)
-        if native is None:
-            self._choose_rid = self._choose_generic
-            self._occ = self.occupancy  # live numpy view for the mechanism
-        else:
-            self._choose_rid = native
-            self._occ = [0] * topology.n_links
+        # Mechanisms without a draw plan (vanilla UGAL's composite
+        # Valiant routes) choose through the mechanism object, which must
+        # then see the live occupancy array.
+        name = self.mechanism.name
+        plan = _DRAW_PLAN.get(name)
+        self._native = plan is not None
+        self._plan = plan or (0, True, 0)
+        self._pick = _PICKERS.get(name)
+        self._occ = [0] * topology.n_links if self._native else self.occupancy
         self._est_first = config.adaptive_estimate == "first"
         self._cl = config.channel_latency
         self._rr_flow: Dict[Tuple[int, int], int] = {}
-        # Active metrics registry, re-read once per launch cycle so the
-        # per-choose cache-hit mirroring skips the module-global lookup.
-        self._reg = None
-        # Batched-draw launch plan.  Scalar ``Generator.integers`` calls
-        # cost ~1.4us each in interpreter/dispatch overhead, so for the
-        # mechanisms whose per-choose draw pattern is known up front the
-        # launch phase collects every bound of the cycle, replays numpy's
-        # bounded-integer algorithm (32-bit Lemire rejection over the
-        # low-half-first chunk stream, persistent half-word buffer) on one
-        # ``random_raw`` batch, and restores the generator's buffer state
-        # — value-for-value and state-for-state identical to the scalar
-        # calls (see _draw_batch).  ``_ndraw`` is the draws per multi-path
-        # choose; ``_skip_k1`` mirrors which mechanisms skip the draw
-        # entirely for single-path pairs.
-        if self.mechanism.name == "ksp_adaptive":
-            self._ndraw, self._skip_k1, self._bnd_off = 2, True, 0
-            self._pick = pick_ksp_adaptive
-        elif self.mechanism.name == "ksp_ugal":
-            # One draw per multi-path choose, bound k - 1 (the non-minimal
-            # challenger index).
-            self._ndraw, self._skip_k1, self._bnd_off = 1, True, 1
-            self._pick = pick_ksp_ugal
-        elif self.mechanism.name == "random":
-            self._ndraw, self._skip_k1, self._bnd_off = 1, False, 0
-            self._pick = pick_random
-        else:
-            self._ndraw, self._skip_k1, self._bnd_off = 0, True, 0
-            self._pick = None
 
     # ------------------------------------------------------------- phases
     def _process_arrivals(self, now: int) -> None:
@@ -617,163 +609,108 @@ class FastSimulator(Simulator):
         super()._inject(now)
         self._n_sourced += self.injected - before
 
-    def _draw_batch(self, bounds: List[int]) -> List[int]:
-        """Batched RNG replay on this run's generator (see :func:`draw_batch`)."""
-        return draw_batch(self.rng, bounds)
+    def _launch_from_sources(self, now: int) -> None:
+        """Launch every source queue's head packet that has credit.
 
-    def _launch_batched(self, now: int) -> bool:
-        """Untraced launch with the cycle's RNG draws batched up front.
-
-        Returns False (no state mutated) when some pair's record is not
-        built yet — the scalar path then materialises it through the real
-        ``paths.get``, keeping the hit/miss mirroring exact.
+        A gather pass and a pick pass, both in ``source_q`` insertion
+        order (the order the reference engine launches in), around one
+        draw.  The gather counts credit stalls, builds a launcher's pair
+        record on first use (through the real ``paths.get``, which counts
+        that launch's hit or miss) and appends the launch's RNG bounds
+        per the draw plan.  One :func:`draw_batch` then replays the
+        scalar ``Generator.integers`` calls value for value (a scalar
+        call costs ~1.4us in dispatch alone), and the pick pass chooses
+        every route and writes the packet store.  Launches only take
+        injection credits, so link occupancy is read-only during the
+        phase and picking after the gather sees the same estimates as
+        picking inline.  Under tracing, stalled hosts stay in the
+        launcher list so their stall events keep their place in the
+        reference event order.
         """
+        if not self._n_sourced:
+            return
+        tr = self._trace
+        tracing = tr is not None
         free = self.free
-        host_buf, host_sw = self._host_buf, self._host_sw
-        pair_get = self._t.pair.get
+        host_buf, host_sw, host_inj = self._host_buf, self._host_sw, self._host_inj
+        tables = self._t
+        pair_get = tables.pair.get
         n_sw = self._n_sw
-        ndraw = self._ndraw
-        skip_k1 = self._skip_k1
-        bnd_off = self._bnd_off
+        paths = self.paths
+        native = self._native
+        ndraw, skip_k1, bnd_off = self._plan
+        ls_on = self._ls is not None
+        if ls_on:
+            ls_fwd = self._ls_fwd
+            ls_stall = self._ls_stall
+            inj_base = self._inj_link_base
         launchers = []
         lapp = launchers.append
         bounds: List[int] = []
         bapp = bounds.append
-        ls_on = self._ls is not None
-        ls_stalled: List[int] = []
         stalls = 0
+        cold = 0
         for h, q in self.source_q.items():
             if not q:
                 continue
             if free[host_buf[h]] <= 0:
                 stalls += 1
                 if ls_on:
-                    # Deferred: the scan may still bail out with no state
-                    # mutated when a pair record is cold.
-                    ls_stalled.append(h)
-                continue
-            rec = pair_get(host_sw[h] * n_sw + host_sw[q[0][1]])
-            if rec is None:
-                return False
-            k = rec[0]
-            if k > 1:
-                if ndraw == 2:
-                    bapp(k)
-                    bapp(k - 1)
-                else:
-                    bapp(k - bnd_off)
-            elif not skip_k1:
-                bapp(1)
-            lapp((h, q, rec))
-        if not launchers:
-            self.credit_stalls += stalls
-            if ls_stalled:
-                ls_stall = self._ls_stall
-                inj_base = self._inj_link_base
-                for h in ls_stalled:
                     ls_stall[inj_base + h] += 1
-            return True
-        vals = self._draw_batch(bounds) if bounds else ()
-        launched = len(launchers)
-        # Every pre-scanned record is warmed, so each launch mirrors one
-        # reference-engine cache hit; tally them in one shot.
-        self.paths.hits += launched
-        reg = self._reg
-        if reg is not None:
-            reg.counter("core.cache.hit").inc(launched)
+                if tracing:
+                    lapp((h, q, None))
+                continue
+            if native:
+                sw = host_sw[h]
+                dsw = host_sw[q[0][1]]
+                rec = pair_get(sw * n_sw + dsw)
+                if rec is None:
+                    rec = tables.pair_record(sw, dsw, paths.get(sw, dsw))
+                    cold += 1
+                k = rec[0]
+                if k > 1:
+                    if ndraw == 2:
+                        bapp(k)
+                        bapp(k - 1)
+                    elif ndraw:
+                        bapp(k - bnd_off)
+                elif not skip_k1:
+                    bapp(1)
+            else:
+                rec = ()  # vanilla UGAL: no record, no bounds
+            lapp((h, q, rec))
+        self.credit_stalls += stalls
+        if not launchers:
+            return
+        launched = len(launchers) - stalls if tracing else len(launchers)
+        # Each launch with a warm record mirrors the hit the reference's
+        # per-launch ``paths.get`` counts; a cold one counted its own.
+        hits = launched - cold if native else 0
+        if hits:
+            paths.hits += hits
+            reg = metrics._active
+            if reg is not None:
+                reg.counter("core.cache.hit").inc(hits)
+        vals = draw_batch(self.rng, bounds) if bounds else ()
+
+        k1_draw = 0 if skip_k1 else 1
         pick = self._pick
+        rr_flow = (
+            self._rr_flow if self.mechanism.name == "round_robin" else None
+        )
+        choose = None if native else self.mechanism.choose
         occ, est_first, cl = self._occ, self._est_first, self._cl
-        fs_on = self._fs is not None
-        pk_src = self._pk_src
         pk_rid, pk_hop, pk_t0 = self._pk_rid, self._pk_hop, self._pk_t0
         pk_link, pk_dst = self._pk_link, self._pk_dst
         pk_tr, pk_dest = self._pk_tr, self._pk_dest
         freelist = self._pk_free
-        bucket = self._cal[(now + self._cl) % self._calP]
-        if ls_on:
-            ls_fwd = self._ls_fwd
-            inj_base = self._inj_link_base
+        bucket = self._cal[(now + cl) % self._calP]
+        fs_on = self._fs is not None
+        pk_src = self._pk_src
         c = 0
         for h, q, rec in launchers:
-            t_create, dst = q.popleft()
-            if rec[0] == 1:
-                rid = rec[1][0]
-                if not skip_k1:
-                    c += 1
-            else:
-                rid = pick(rec, vals, c, occ, 0, est_first, cl)
-                c += ndraw
-            idx = host_buf[h]
-            if freelist:
-                pid = freelist.pop()
-                pk_rid[pid] = rid
-                pk_hop[pid] = 0
-                pk_t0[pid] = t_create
-                pk_link[pid] = -1
-                pk_dst[pid] = dst
-                pk_tr[pid] = -1
-                pk_dest[pid] = idx
-                if fs_on:
-                    pk_src[pid] = h
-            else:
-                pid = len(pk_rid)
-                pk_rid.append(rid)
-                pk_hop.append(0)
-                pk_t0.append(t_create)
-                pk_link.append(-1)
-                pk_dst.append(dst)
-                pk_tr.append(-1)
-                pk_dest.append(idx)
-                if fs_on:
-                    pk_src.append(h)
-            free[idx] -= 1
-            if ls_on:
-                ls_fwd[inj_base + h] += 1
-            bucket.append(pid)
-        self.credit_stalls += stalls
-        if ls_stalled:
-            ls_stall = self._ls_stall
-            inj_base = self._inj_link_base
-            for h in ls_stalled:
-                ls_stall[inj_base + h] += 1
-        self._n_flying += launched
-        self._n_sourced -= launched
-        return True
-
-    def _launch_from_sources(self, now: int) -> None:
-        if not self._n_sourced:
-            return
-        self._reg = metrics._active
-        tr = self._trace
-        if tr is None and self._ndraw and self._launch_batched(now):
-            return
-        tracing = tr is not None
-        free = self.free
-        host_buf, host_sw, host_inj = self._host_buf, self._host_sw, self._host_inj
-        choose = self._choose_rid
-        pk_rid, pk_hop, pk_t0 = self._pk_rid, self._pk_hop, self._pk_t0
-        pk_link, pk_dst = self._pk_link, self._pk_dst
-        pk_tr, pk_dest = self._pk_tr, self._pk_dest
-        freelist = self._pk_free
-        bucket = self._cal[(now + self._cl) % self._calP]
-        fs_on = self._fs is not None
-        pk_src = self._pk_src
-        ls_on = self._ls is not None
-        if ls_on:
-            ls_fwd = self._ls_fwd
-            ls_stall = self._ls_stall
-            inj_base = self._inj_link_base
-        stalls = 0
-        launched = 0
-        for h, q in self.source_q.items():
-            if not q:
-                continue
-            idx = host_buf[h]
-            if free[idx] <= 0:
-                stalls += 1
-                if ls_on:
-                    ls_stall[inj_base + h] += 1
-                if tracing and q[0][-1] >= 0:
+            if rec is None:
+                if q[0][-1] >= 0:
                     tr.event(
                         q[0][-1], self._trace_run, obs_trace.EV_CREDIT_STALL,
                         now, switch=host_sw[h], port=host_inj[h], vc=0,
@@ -784,7 +721,26 @@ class FastSimulator(Simulator):
             else:
                 t_create, dst = q.popleft()
                 uid = -1
-            rid = choose(h, dst, host_sw[h], host_sw[dst])
+            if pick is not None:
+                if rec[0] > 1:
+                    rid = pick(rec, vals, c, occ, est_first, cl)
+                    c += ndraw
+                else:
+                    rid = rec[1][0]
+                    c += k1_draw
+            elif rr_flow is not None:
+                key = (h, dst)
+                i = rr_flow.get(key, 0)
+                rr_flow[key] = i + 1
+                rid = rec[1][i % rec[0]]
+            elif choose is None:
+                rid = rec[1][0]
+            else:
+                nodes = tuple(choose(h, dst, host_sw[h], host_sw[dst]))
+                rid = tables.route_ids.get(nodes)
+                if rid is None:
+                    rid = tables.add_route(nodes)
+            idx = host_buf[h]
             if freelist:
                 pid = freelist.pop()
                 pk_rid[pid] = rid
@@ -808,19 +764,18 @@ class FastSimulator(Simulator):
                 if fs_on:
                     pk_src.append(h)
             if uid >= 0:
-                nodes = self._t.r_nodes[rid]
-                idx_map = self.paths.path_index_map(host_sw[h], host_sw[dst])
+                sw = host_sw[h]
+                nodes = tables.r_nodes[rid]
+                idx_map = paths.path_index_map(sw, host_sw[dst])
                 tr.set_route(uid, idx_map.get(nodes, -1), nodes, now)
                 tr.event(
                     uid, self._trace_run, obs_trace.EV_VC_ALLOC, now,
-                    switch=host_sw[h], port=host_inj[h], vc=0,
+                    switch=sw, port=host_inj[h], vc=0,
                 )
             free[idx] -= 1
             if ls_on:
                 ls_fwd[inj_base + h] += 1
             bucket.append(pid)
-            launched += 1
-        self.credit_stalls += stalls
         self._n_flying += launched
         self._n_sourced -= launched
 
@@ -995,89 +950,6 @@ class FastSimulator(Simulator):
         self.flits_forwarded += forwarded
         self._n_flying += granted_total
         self._n_buffered -= granted_total
-
-    # -------------------------------------------- native mechanism choice
-    # Each implementation mirrors its RoutingMechanism counterpart draw
-    # for draw (and calls paths.get for the pair, keeping the path-cache
-    # hit/miss tallies identical to the reference engine's).
-
-    def _pair_rec(self, src_sw: int, dst_sw: int) -> tuple:
-        rec = self._t.pair.get(src_sw * self._n_sw + dst_sw)
-        if rec is None:
-            # First use of the pair on these tables: the real get() call
-            # (hit or miss, exactly as the reference engine's first choose
-            # for the pair would count it).
-            return self._t.pair_record(
-                src_sw, dst_sw, self.paths.get(src_sw, dst_sw)
-            )
-        # Record exists, so the pair is warmed: the reference's per-choose
-        # paths.get() would be a hit — mirror its tallies without the
-        # lookup.
-        self.paths.hits += 1
-        reg = self._reg
-        if reg is not None:
-            reg.counter("core.cache.hit").inc()
-        return rec
-
-    def _choose_sp(self, h: int, dst: int, sw: int, dsw: int) -> int:
-        return self._pair_rec(sw, dsw)[1][0]
-
-    def _choose_random(self, h: int, dst: int, sw: int, dsw: int) -> int:
-        rec = self._pair_rec(sw, dsw)
-        return rec[1][int(self.rng.integers(rec[0]))]
-
-    def _choose_round_robin(self, h: int, dst: int, sw: int, dsw: int) -> int:
-        rec = self._pair_rec(sw, dsw)
-        key = (h, dst)
-        i = self._rr_flow.get(key, 0)
-        self._rr_flow[key] = i + 1
-        return rec[1][i % rec[0]]
-
-    def _choose_ksp_ugal(self, h: int, dst: int, sw: int, dsw: int) -> int:
-        # _pair_rec inlined: this runs once per launched packet, and the
-        # call overhead is measurable at saturation.
-        rec = self._t.pair.get(sw * self._n_sw + dsw)
-        if rec is None:
-            rec = self._t.pair_record(sw, dsw, self.paths.get(sw, dsw))
-        else:
-            self.paths.hits += 1
-            reg = self._reg
-            if reg is not None:
-                reg.counter("core.cache.hit").inc()
-        k = rec[0]
-        if k == 1:
-            return rec[1][0]
-        vals = (int(self.rng.integers(k - 1)),)
-        return pick_ksp_ugal(
-            rec, vals, 0, self._occ, 0, self._est_first, self._cl
-        )
-
-    def _choose_ksp_adaptive(self, h: int, dst: int, sw: int, dsw: int) -> int:
-        # _pair_rec inlined (see _choose_ksp_ugal).
-        rec = self._t.pair.get(sw * self._n_sw + dsw)
-        if rec is None:
-            rec = self._t.pair_record(sw, dsw, self.paths.get(sw, dsw))
-        else:
-            self.paths.hits += 1
-            reg = self._reg
-            if reg is not None:
-                reg.counter("core.cache.hit").inc()
-        k = rec[0]
-        if k == 1:
-            return rec[1][0]
-        rng = self.rng
-        vals = (int(rng.integers(k)), int(rng.integers(k - 1)))
-        return pick_ksp_adaptive(
-            rec, vals, 0, self._occ, 0, self._est_first, self._cl
-        )
-
-    def _choose_generic(self, h: int, dst: int, sw: int, dsw: int) -> int:
-        nodes = tuple(self.mechanism.choose(h, dst, sw, dsw))
-        tables = self._t
-        rid = tables.route_ids.get(nodes)
-        if rid is None:
-            rid = tables.add_route(nodes)
-        return rid
 
     # ---------------------------------------------------------------- run
     def _occupancy_view(self):

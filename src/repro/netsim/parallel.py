@@ -36,7 +36,7 @@ from repro.netsim.batchcore import (
 )
 from repro.netsim.config import SimConfig
 from repro.netsim.sweep import saturation_throughput
-from repro.netsim.simulator import PatternTraffic
+from repro.netsim.simulator import PatternTraffic, Simulator
 from repro.obs import layers
 from repro.obs import monitor as obs_monitor
 from repro.obs.progress import Progress
@@ -152,7 +152,7 @@ def _run_cell(args) -> CellResult:
         )
     if hb is not None:
         hb.done()
-    snaps = {name: rec.snapshot() for name, rec in recs.items()}
+    snaps = _snapshots(recs)
     return GridCell(scheme, mechanism, pattern_index, th), snaps or None
 
 
@@ -172,7 +172,9 @@ def run_batched_ladders(
     the jobs still below saturation are grouped by (scheme, VC count) —
     lanes of one batch must share a buffer layout — and packed into
     batches of at most ``config.batch_lanes`` lanes, each one lock-step
-    :class:`~repro.netsim.batchcore.BatchSimulator` run.  Every ladder
+    :class:`~repro.netsim.batchcore.BatchSimulator` run; a pack of one
+    lane runs its rung on the per-run fast engine instead, which is
+    faster than a one-lane batch and byte-identical to it.  Every ladder
     draws exactly one run seed per executed rung from
     ``default_rng(seed)``, as the serial sweep does, and stops after its
     first saturated rung.
@@ -209,27 +211,44 @@ def run_batched_ladders(
                 pack = members[s : s + config.batch_lanes]
                 # The serial sweep draws one seed per executed rung from
                 # the ladder rng; replicate the draw exactly.
-                lanes = [
-                    BatchLane(
-                        jobs[i][1], jobs[i][2], float(rate),
-                        seed=np.random.default_rng(
-                            int(ladders[i].integers(2**63))
-                        ),
-                    )
+                seeds = [
+                    np.random.default_rng(int(ladders[i].integers(2**63)))
                     for i in pack
                 ]
                 if hb is not None:
-                    hb.task(f"{key[0]} rate={rate} x{len(lanes)} lanes")
-                batch = BatchSimulator(topology, cache, lanes, config)
-                results = batch.run(publish=False, observe="metrics" in cfgs)
-                for j, i in enumerate(pack):
-                    if cfgs:
+                    hb.task(f"{key[0]} rate={rate} x{len(pack)} lanes")
+                if len(pack) == 1:
+                    # A one-lane batch runs slower than the fast engine,
+                    # so a lone job's rung runs there, under the same
+                    # per-rung capture the batch publishes each lane in.
+                    i = pack[0]
+                    with layers.capture(cfgs) as recs:
+                        results = [
+                            Simulator(
+                                topology, cache, jobs[i][1], jobs[i][2],
+                                float(rate), config=config, seed=seeds[0],
+                            ).run()
+                        ]
+                    snaps = [_snapshots(recs)]
+                else:
+                    lanes = [
+                        BatchLane(jobs[i][1], jobs[i][2], float(rate), seed=sd)
+                        for i, sd in zip(pack, seeds)
+                    ]
+                    batch = BatchSimulator(topology, cache, lanes, config)
+                    results = batch.run(
+                        publish=False, observe="metrics" in cfgs
+                    )
+                    snaps = []
+                    for j in range(len(pack)):
                         with layers.capture(cfgs) as recs:
-                            batch.publish_lane(j)
-                        rungs[i].append(
-                            {name: rec.snapshot() for name, rec in recs.items()}
-                        )
-                    if results[j].saturated:
+                            if recs:
+                                batch.publish_lane(j)
+                        snaps.append(_snapshots(recs))
+                for i, result, snap in zip(pack, results, snaps):
+                    if snap:
+                        rungs[i].append(snap)
+                    if result.saturated:
                         done[i] = True
                     else:
                         throughput[i] = float(rate)
@@ -243,17 +262,23 @@ def run_batched_ladders(
             with layers.capture(cfgs) as recs:
                 for rung in rungs[i]:  # rate order = the serial run order
                     layers.merge(rung)
-            snaps = {name: rec.snapshot() for name, rec in recs.items()}
+            snaps = _snapshots(recs)
         out.append((throughput[i], snaps))
     return out
+
+
+def _snapshots(recs: Mapping[str, object]) -> Dict[str, dict]:
+    """``{layer: snapshot}`` of a :func:`repro.obs.layers.capture` block."""
+    return {name: rec.snapshot() for name, rec in recs.items()}
 
 
 def _run_cell_batch(chunk) -> List[CellResult]:
     """Worker: rung-step a chunk of grid cells through the batched engine.
 
-    Batchable cells go through :func:`run_batched_ladders` together;
-    cells the batched engine cannot take (vanilla UGAL; every cell while
-    the flight recorder is on) fall back to :func:`_run_cell` unchanged.
+    Batchable cells go through :func:`run_batched_ladders` together,
+    which runs any rung with one lane left on the fast engine; cells the
+    batched engine cannot take (vanilla UGAL; every cell while the
+    flight recorder is on) fall back to :func:`_run_cell` unchanged.
     Returns one ``_run_cell``-shaped result per cell, in chunk order.
     """
     topology, caches = _GRID_STATE[0]

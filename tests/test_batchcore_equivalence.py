@@ -166,8 +166,8 @@ class TestLaneEquivalence:
     def test_high_load_contention(self, knobs):
         # Near saturation the clean-cycle fast path gives way to the
         # sequential sweep; equivalence must survive heavy contention.
-        # Both latency estimates reach the scalar pickers and the
-        # vectorized launch's _est_pair.
+        # Both latency estimates reach the vectorized launch's
+        # _est_pair.
         lanes = [
             BatchLane("ksp_adaptive", _traffic("uniform", 24), 0.9, seed=3),
             BatchLane("ksp_ugal", _traffic("perm", 24), 0.85, seed=4),

@@ -9,7 +9,7 @@ import pytest
 from repro import Jellyfish, PathCache
 from repro.core.path import Path, PathSet
 from repro.errors import ConfigurationError
-from repro.netsim import SimConfig, run_saturation_grid
+from repro.netsim import SimConfig, parallel, run_saturation_grid
 from repro.obs import metrics
 from repro.obs import timeseries as obs_timeseries
 from repro.traffic import random_permutation, shift
@@ -155,7 +155,7 @@ class TestGridBatching:
         _assert_ts_equal(base[2], bat[2])
 
     def test_batched_engine_stamped(self, topo):
-        pats = [random_permutation(topo.n_hosts, seed=5)]
+        pats = [random_permutation(topo.n_hosts, seed=s) for s in (5, 6)]
         cfg = SimConfig(
             warmup_cycles=50, sample_cycles=50, n_samples=2, batch_lanes=4,
         )
@@ -169,6 +169,32 @@ class TestGridBatching:
         assert snap["counters"]["netsim.engine_runs/batched"] > 0
         assert snap["counters"]["netsim.engine_runs/fast"] > 0
         assert snap["gauges"]["netsim.cycles_per_sec/batched"] > 0
+
+    def test_one_lane_rungs_run_on_fast_engine(self, monkeypatch):
+        # A one-lane batch is slower than the fast engine and
+        # byte-identical to it, so a rung with one job left never builds
+        # one: a one-pattern grid runs wholly on the fast engine.
+        topo = Jellyfish(24, 10, 6, seed=1)
+        pats = [random_permutation(topo.n_hosts, seed=2)]
+        kw = dict(k=4, rates=(0.3, 0.5, 0.7, 0.9), seed=0)
+        serial = _grid_with_telemetry(
+            topo, ["redksp"], ["ksp_adaptive"], pats, 1, **kw
+        )
+        built = []
+        real = parallel.BatchSimulator
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "BatchSimulator", counting)
+        batched = _grid_with_telemetry(
+            topo, ["redksp"], ["ksp_adaptive"], pats, 8, **kw
+        )
+        assert built == []
+        assert batched[0] == serial[0]
+        assert batched[1] == serial[1]
+        _assert_ts_equal(batched[2], serial[2])
 
     def test_batched_pool_matches_inline(self, topo):
         pats = [random_permutation(topo.n_hosts, seed=s) for s in (5, 6)]

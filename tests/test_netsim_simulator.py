@@ -125,6 +125,32 @@ class TestSimulatorMechanics:
         sim.check_conservation()
         assert r.delivered > 0
 
+    def test_ugal_sees_routes_another_vc_count_added(self, topo):
+        # Runs share one route core per cache through per-VC-count views.
+        # The ksp_adaptive run (fewer VCs than ugal) adds routes after
+        # ugal's view exists; the second ugal run then meets some of them
+        # through the shared route ids and must find their hop entries.
+        n = topo.n_hosts
+        cache = PathCache(topo, "ksp", k=4, seed=0)
+        perm = PatternTraffic(
+            Pattern("perm", n, [(i, (i + 3) % n) for i in range(n)])
+        )
+        Simulator(topo, cache, "ugal", perm, 0.3, FAST, seed=1).run()
+        Simulator(
+            topo, cache, "ksp_adaptive", UniformTraffic(n), 0.3, FAST, seed=1
+        ).run()
+        got = Simulator(
+            topo, cache, "ugal", UniformTraffic(n), 0.3, FAST, seed=1
+        ).run()
+        ref = Simulator(
+            topo, PathCache(topo, "ksp", k=4, seed=0), "ugal",
+            UniformTraffic(n), 0.3,
+            SimConfig(warmup_cycles=100, sample_cycles=100, n_samples=3,
+                      engine="reference"),
+            seed=1,
+        ).run()
+        assert repr(got) == repr(ref)
+
     def test_zero_load_latency_is_pipeline_delay(self, topo, paths):
         # At a very low rate there is no queueing: latency of each packet is
         # exactly (hops + 2) * channel_latency, so the mean is a weighted
@@ -290,6 +316,30 @@ class TestSimConfig:
             SimConfig(warmup_cycles=-1)
         with pytest.raises(ConfigurationError):
             SimConfig(saturation_latency=0)
+
+    @pytest.mark.parametrize("field, value", [
+        # A NaN threshold is never crossed: every ladder reads its top rung.
+        ("saturation_latency", float("nan")),
+        ("saturation_latency", float("inf")),
+        ("steady_rel_tol", float("nan")),
+        # Non-integer cycle, size and count fields crash deep in an engine
+        # or change a result silently.
+        ("channel_latency", 2.5),
+        ("vc_buffer", 1.5),
+        ("input_speedup", 2.0),
+        ("warmup_cycles", True),
+        ("sample_cycles", 50.5),
+        ("n_samples", 3.0),
+        ("steady_window_cycles", 100.0),
+        ("steady_check_windows", True),
+        ("max_warmup_cycles", 8000.5),
+        ("batch_lanes", 2.0),
+        ("drain_max_cycles", 0),
+        ("drain_max_cycles", -5),
+    ])
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SimConfig(**{field: value})
 
     def test_totals(self):
         cfg = SimConfig(warmup_cycles=100, sample_cycles=50, n_samples=4)

@@ -10,12 +10,14 @@ mechanisms and then corrupt a recorded route to prove the audit can
 actually fail.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro import Jellyfish, PathCache
 from repro.errors import ConfigurationError
-from repro.netsim import PatternTraffic, SimConfig, Simulator
+from repro.netsim import PatternTraffic, SimConfig, Simulator, UniformTraffic
 from repro.netsim.parallel import run_saturation_grid
 from repro.obs import trace
 from repro.obs.trace import (
@@ -323,6 +325,42 @@ def test_untraced_simulation_records_nothing(topo, cache):
     )
     sim.run()
     assert trace.snapshot() is None
+
+
+@pytest.mark.parametrize("saturated", [False, True], ids=["load0.4", "sat"])
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "perm"])
+@pytest.mark.parametrize("mechanism", ALL_MECHANISMS)
+def test_tracing_changes_no_result(topo, cache, mechanism, uniform, saturated):
+    """The fast engine's traced launch draws and picks exactly like its
+    untraced one: same result, drain, stalls and final RNG state.  (The
+    path-cache counters are left out: the recorder's route-index lookups
+    count extra hits in every engine alike.)"""
+    n = topo.n_hosts
+    traffic = (
+        UniformTraffic(n) if uniform
+        else PatternTraffic(random_permutation(n, seed=3))
+    )
+    cfg = SimConfig(
+        warmup_cycles=60, sample_cycles=60, n_samples=2,
+        vc_buffer=2 if saturated else 32,
+    )
+    rate = 0.9 if saturated else 0.4
+    outcomes = []
+    for traced in (False, True):
+        with trace.capture(sample=4) if traced else nullcontext() as rec:
+            sim = Simulator(
+                topo, cache, mechanism, traffic, rate,
+                config=cfg, seed=np.random.SeedSequence(11),
+            )
+            # SimResult's repr leaves out ``config`` and spells NaN
+            # samples alike, so equal reprs mean equal results.
+            result = repr(sim.run())
+            outcomes.append((
+                result, sim.drain(), sim.credit_stalls,
+                sim.rng.bit_generator.state,
+            ))
+    assert rec.snapshot()["n_packets"] > 0
+    assert outcomes[0] == outcomes[1]
 
 
 # --------------------------------------------------------- parallel grid

@@ -142,9 +142,10 @@ class TestResultEquivalence:
         _assert_equivalent(mechanism, traffic_kind, adaptive_estimate="first")
 
     def test_prewarmed_cache_all_hits(self):
-        # A fully warmed cache keeps the fast core on its batched launch
-        # path from cycle 0; the cold-cache matrix above exercises the
-        # scalar fallback + incremental table growth instead.
+        # A fully warmed cache gives the fast core's launch a warm pair
+        # record from cycle 0; the cold-cache matrix above exercises
+        # record building in the launch gather + incremental table
+        # growth instead.
         fp = _assert_equivalent("ksp_adaptive", "uniform", prewarm=True)
         hits, misses = fp["cache"]
         assert misses == 0 and hits > 0
@@ -183,9 +184,10 @@ class TestTelemetryEquivalence:
         assert "netsim.engine_runs/reference" not in counters
 
     def _trace_bytes(self, engine, tmp_path, mechanism="ksp_adaptive", **load):
-        # Tracing disables the batched launch path and turns on the fast
-        # core's flight-recorder events in its arrival and allocation
-        # loops — this doubles as the equivalence check for those events.
+        # Tracing keeps stalled hosts in the fast core's launch gather
+        # and turns on its flight-recorder events in the launch, arrival
+        # and allocation loops — this doubles as the equivalence check
+        # for those events.
         with trace.capture(sample=16):
             _run(engine, mechanism, "uniform", **load)
             out = trace.save_trace(tmp_path / f"{engine}.npz")
