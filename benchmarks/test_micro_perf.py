@@ -10,6 +10,7 @@ import pytest
 
 from repro import Jellyfish, PathCache
 from repro.appsim.fairshare import maxmin_rates
+from repro.core.dijkstra import bfs_levels, shortest_path
 from repro.core.yen import k_shortest_paths
 from repro.netsim import SimConfig, Simulator, UniformTraffic, run_saturation_grid
 from repro.obs import flowstats
@@ -74,6 +75,56 @@ def test_perf_precompute_allpairs_rksp(benchmark, topo36):
 
     cache = benchmark.pedantic(warm, rounds=2, iterations=1)
     assert len(cache) == 36 * 35
+
+
+@pytest.fixture(scope="module")
+def spur_workload():
+    """40 sampled pairs of RRG(720,24,19), each with its first edge banned.
+
+    The ban is the first edge of the pair's min-tie shortest path, as in
+    Yen's first spur search from the source: a banned search on the
+    topology of the paper's Tables II-IV, 3-4 BFS levels deep.
+    """
+    topo = Jellyfish(720, 24, 19, seed=1)
+    rng = np.random.default_rng(0)
+    cases = []
+    while len(cases) < 40:
+        s, d = (int(x) for x in rng.integers(0, topo.n_switches, 2))
+        if s != d:
+            first = shortest_path(topo.kernels, s, d)
+            cases.append((s, d, frozenset({(first[0], first[1])})))
+    return topo.kernels, cases
+
+
+def test_perf_bfs_banned_sweep_720(benchmark, spur_workload):
+    """The complete banned distance field for each of the 40 cases.
+
+    The baseline row of the spur-search ratio gate: ``bfs_levels`` must
+    fill every node's distance, so it expands every BFS level.
+    """
+    kernels, cases = spur_workload
+
+    def sweep():
+        return [bfs_levels(kernels, s, banned_edges=ban) for s, _, ban in cases]
+
+    fields = benchmark(sweep)
+    assert all((f >= 0).all() for f in fields)
+
+
+def test_perf_spur_search_720(benchmark, spur_workload):
+    """``shortest_path`` under the same bans: the target-directed field.
+
+    It builds only the levels below the destination and writes only the
+    destination's distance; the CI perf-smoke job divides the sweep row's
+    mean by this row's and fails below the gated ratio.
+    """
+    kernels, cases = spur_workload
+
+    def search():
+        return [shortest_path(kernels, s, d, banned_edges=ban) for s, d, ban in cases]
+
+    paths = benchmark(search)
+    assert all(p is not None and p[0] == s for p, (s, _, _) in zip(paths, cases))
 
 
 def test_perf_fairshare_waterfill(benchmark):

@@ -21,6 +21,16 @@ computed once and shared across *all* destinations — the first path of
 every Yen/Remove-Find invocation, plain SP, ECMP enumeration, and the
 all-pairs topology metrics all hit the same cached field.
 
+Banned spur searches have a single target, so their fields are
+*target-directed*: they hold the levels below ``dist[until]`` plus
+``dist[until]`` itself, and every other distance stays -1.  Before
+expanding a level the search ANDs the frontier with the target's
+neighbour mask (its in-edges, since the adjacency is undirected) and
+stops on the first unbanned edge into the target, so the target's own
+level — the widest one on a random regular graph — is never built.  The
+backwalk reads nothing else.  Complete fields (:meth:`GraphKernels.field`,
+``bfs_levels``) still fill every distance.
+
 Exactness: BFS hop distances are unique whatever the exploration order, so
 both kernels reproduce the seed's distance fields exactly; the mask-based
 backwalk enumerates predecessor candidates in ascending node-id order —
@@ -64,8 +74,10 @@ class LevelField:
     """A BFS result: per-node hop distances plus per-level node bitmasks.
 
     ``dist[v]`` is the hop distance from the field's source (-1 when
-    unreachable, banned, or beyond an early-exit level); ``masks[L]`` is
-    the bitmask of nodes at distance exactly ``L``.  Fields are immutable
+    unreachable or banned); ``masks[L]`` is the bitmask of nodes at
+    distance exactly ``L``.  A target-directed field (``field_banned``
+    with ``until``) holds only ``masks[L]`` for ``L < dist[until]`` and
+    ``dist[until]``; every other distance stays -1.  Fields are immutable
     by convention — cached instances are shared between callers.
     """
 
@@ -146,7 +158,7 @@ class GraphKernels:
         found = self._fields.get(source)
         if found is None:
             if self.n <= _BITSET_MAX:
-                found = self._bfs_bitset(source, 0, None, None)
+                found = self._bfs_bitset(source, 0, None)
             else:
                 found = self._bfs_csr(source)
             if len(self._fields) >= _MAX_CACHED_FIELDS:
@@ -161,54 +173,64 @@ class GraphKernels:
         banned_out: Optional[Dict[int, int]],
         until: Optional[int] = None,
     ) -> LevelField:
-        """An uncached level field honouring bans.
+        """An uncached level field honouring bans (``source`` unbanned).
 
         ``banned_out`` maps a node to the bitmask of neighbours its out-
-        edges may not reach (directed bans).  With ``until`` set, expansion
-        stops after the level that assigns it — every node at a smaller or
-        equal distance still gets its exact value, which is all a backwalk
-        ever reads.
+        edges may not reach (directed bans).  Without ``until`` the field
+        is complete.  With ``until`` set it is target-directed: ``masks``
+        holds the levels below ``dist[until]`` and ``dist[until]`` is the
+        only distance written (every other entry stays -1) — exactly what
+        a backwalk to ``until`` reads.  The search stops as soon as some
+        frontier node has an unbanned edge into ``until``, so the
+        target's own level is never built; that test reads
+        ``nbr_masks[until]`` as ``until``'s in-edges, which holds because
+        the adjacency is undirected.
         """
         block = 0
         for b in banned_nodes:
             block |= 1 << b
-        return self._bfs_bitset(source, block, banned_out, until)
+        if until is None:
+            return self._bfs_bitset(source, block, banned_out)
+        return self._bfs_until(source, block, banned_out, until)
+
+    def _expand(self, frontier: int, banned_out: Optional[Dict[int, int]]) -> int:
+        """The union of the frontier's neighbour masks under edge bans."""
+        nbr_masks = self.nbr_masks
+        nxt = 0
+        f = frontier
+        if banned_out:
+            while f:
+                b = f & -f
+                f ^= b
+                u = b.bit_length() - 1
+                m = nbr_masks[u]
+                bo = banned_out.get(u)
+                nxt |= m if bo is None else m & ~bo
+        else:
+            while f:
+                b = f & -f
+                f ^= b
+                nxt |= nbr_masks[b.bit_length() - 1]
+        return nxt
 
     def _bfs_bitset(
         self,
         source: int,
         block: int,
         banned_out: Optional[Dict[int, int]],
-        until: Optional[int],
     ) -> LevelField:
+        """Complete bitset BFS: every reachable node's distance and level."""
         dist = [-1] * self.n
         dist[source] = 0
         start = 1 << source
         masks = [start]
         visited = start | block
         frontier = start
-        nbr_masks = self.nbr_masks
-        until_bit = (1 << until) if until is not None else 0
         level = 0
-        while frontier:
-            nxt = 0
-            f = frontier
-            if banned_out:
-                while f:
-                    b = f & -f
-                    f ^= b
-                    u = b.bit_length() - 1
-                    m = nbr_masks[u]
-                    bo = banned_out.get(u)
-                    nxt |= m if bo is None else m & ~bo
-            else:
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= nbr_masks[b.bit_length() - 1]
-            nxt &= ~visited
+        while True:
+            nxt = self._expand(frontier, banned_out) & ~visited
             if not nxt:
-                break
+                return LevelField(dist, masks)
             level += 1
             visited |= nxt
             masks.append(nxt)
@@ -217,10 +239,42 @@ class GraphKernels:
                 b = g & -g
                 g ^= b
                 dist[b.bit_length() - 1] = level
-            if nxt & until_bit:
-                break
             frontier = nxt
-        return LevelField(dist, masks)
+
+    def _bfs_until(
+        self,
+        source: int,
+        block: int,
+        banned_out: Optional[Dict[int, int]],
+        until: int,
+    ) -> LevelField:
+        """Target-directed bitset BFS (see :meth:`field_banned`)."""
+        dist = [-1] * self.n
+        start = 1 << source
+        target = 1 << until
+        visited = start | block
+        if visited & target:
+            if until == source:
+                dist[until] = 0
+            return LevelField(dist, [])
+        into = self.nbr_masks[until]
+        masks = [start]
+        frontier = start
+        while True:
+            near = frontier & into
+            while near:
+                b = near & -near
+                near ^= b
+                bo = banned_out.get(b.bit_length() - 1) if banned_out else None
+                if bo is None or not bo & target:
+                    dist[until] = len(masks)
+                    return LevelField(dist, masks)
+            nxt = self._expand(frontier, banned_out) & ~visited
+            if not nxt:
+                return LevelField(dist, masks)
+            visited |= nxt
+            masks.append(nxt)
+            frontier = nxt
 
     def _bfs_csr(self, source: int) -> LevelField:
         """Vectorized frontier-expansion BFS (ban-free, complete field)."""

@@ -20,8 +20,11 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Jellyfish, PathCache
+from repro.core.dijkstra import bfs_levels, shortest_path
+from repro.core.kernels import GraphKernels, ban_masks
 
 
 # --------------------------------------------------------------------------
@@ -185,6 +188,17 @@ def topo():
     return Jellyfish(36, 24, 16, seed=1)
 
 
+@pytest.fixture(scope="module")
+def topologies(topo):
+    """(topology, pairs per seed): the paper's small RRG and RRG(720,24,19).
+
+    RRG(36,24,16) has diameter 2, so its spur searches stay shallow; on
+    RRG(720,24,19) they go 3-4 levels deep and Remove-Find's edge bans
+    accumulate over the k rounds.
+    """
+    return [(topo, 15), (Jellyfish(720, 24, 19, seed=1), 5)]
+
+
 def _sample_pairs(n, count, seed):
     rng = np.random.default_rng(seed)
     pairs = set()
@@ -197,29 +211,134 @@ def _sample_pairs(n, count, seed):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("master_seed", [0, 1, 42])
-def test_scheme_matches_reference(topo, scheme, master_seed):
-    adj = topo.adjacency
-    cache = PathCache(topo, scheme, k=K, seed=master_seed)
-    for s, d in _sample_pairs(topo.n_switches, 15, seed=master_seed + 100):
-        got = [tuple(p) for p in cache.get(s, d)]
-        want = [
-            tuple(p)
-            for p in _ref_select(scheme, adj, s, d, K, _pair_rng(master_seed, s, d))
-        ]
-        assert got == want, (scheme, master_seed, s, d)
+def test_scheme_matches_reference(topologies, scheme, master_seed):
+    for topo, count in topologies:
+        adj = topo.adjacency
+        n = topo.n_switches
+        cache = PathCache(topo, scheme, k=K, seed=master_seed)
+        for s, d in _sample_pairs(n, count, seed=master_seed + 100):
+            got = [tuple(p) for p in cache.get(s, d)]
+            want = [
+                tuple(p)
+                for p in _ref_select(
+                    scheme, adj, s, d, K, _pair_rng(master_seed, s, d)
+                )
+            ]
+            assert got == want, (n, scheme, master_seed, s, d)
 
 
-def test_randomized_schemes_consume_identical_rng_stream(topo):
+def test_randomized_schemes_consume_identical_rng_stream(topologies):
     # Beyond equal paths: the fast kernels must leave the generator at the
     # same position, or downstream draws would silently diverge.
+    from repro.core.remove_find import edge_disjoint_paths
     from repro.core.yen import k_shortest_paths
 
-    adj = topo.adjacency
-    for s, d in _sample_pairs(topo.n_switches, 5, seed=9):
-        r_fast, r_ref = np.random.default_rng(7), np.random.default_rng(7)
-        k_shortest_paths(adj, s, d, K, tie="random", rng=r_fast)
-        _ref_k_shortest_paths(adj, s, d, K, tie="random", rng=r_ref)
-        assert r_fast.integers(1 << 30) == r_ref.integers(1 << 30)
+    for topo, _ in topologies:
+        adj = topo.adjacency
+        for s, d in _sample_pairs(topo.n_switches, 5, seed=9):
+            for fast, ref in (
+                (k_shortest_paths, _ref_k_shortest_paths),
+                (edge_disjoint_paths, _ref_edge_disjoint),
+            ):
+                r_fast, r_ref = np.random.default_rng(7), np.random.default_rng(7)
+                fast(adj, s, d, K, tie="random", rng=r_fast)
+                ref(adj, s, d, K, tie="random", rng=r_ref)
+                assert r_fast.integers(1 << 30) == r_ref.integers(1 << 30), (
+                    topo.n_switches, fast.__name__, s, d,
+                )
+
+
+# --------------------------------------------------------------------------
+# Target-directed spur searches against the reference BFS
+# --------------------------------------------------------------------------
+
+#: Which ``until`` a generated case forces.
+_UNTIL_CASES = ("any", "cut_off", "banned", "adjacent", "source")
+
+
+@st.composite
+def _spur_cases(draw):
+    """A connected undirected graph, bans, a source and an ``until``."""
+    n = draw(st.integers(4, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = {
+        tuple(sorted((int(v), int(rng.integers(v)))))
+        for v in range(1, n)
+    }  # a random spanning tree, so the graph is connected
+    for _ in range(draw(st.integers(0, 3 * n))):
+        u, v = (int(x) for x in rng.integers(0, n, 2))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    adj = [sorted(row) for row in adj]
+
+    source = int(rng.integers(n))
+    case = draw(st.sampled_from(_UNTIL_CASES))
+    if case == "adjacent":
+        until = int(rng.choice(adj[source]))
+    elif case == "source":
+        until = source
+    else:
+        until = int(rng.choice([v for v in range(n) if v != source]))
+    banned_nodes = {
+        int(v) for v in rng.choice(n, size=int(rng.integers(n // 3 + 1)))
+        if v != source and v != until
+    }
+    directed = [(u, v) for u in range(n) for v in adj[u]]
+    banned_edges = {
+        directed[i]
+        for i in rng.choice(len(directed), size=int(rng.integers(len(directed) // 3 + 1)))
+    }
+    if case == "cut_off":
+        banned_edges |= {(u, until) for u in adj[until]}
+    elif case == "banned":
+        banned_nodes.add(until)
+    return adj, source, until, banned_nodes, banned_edges, case
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_spur_cases(), seed=st.integers(0, 2**32 - 1))
+def test_target_directed_field_matches_reference(spec, seed):
+    adj, source, until, banned_nodes, banned_edges, case = spec
+    kernels = GraphKernels(adj)
+    banned_out, _ = ban_masks(banned_edges)
+    field = kernels.field_banned(source, banned_nodes, banned_out, until=until)
+    ref = _ref_bfs_levels(adj, source, banned_nodes, banned_edges)
+
+    d = field.dist[until]
+    assert d == ref[until]
+    if case == "source":
+        assert d == 0
+    if case in ("banned", "cut_off"):
+        assert d == -1
+    # Only the target's distance is written ...
+    assert all(x == -1 for v, x in enumerate(field.dist) if v != until)
+    if d >= 0:
+        # ... and the levels below it, not the target's own level.
+        assert len(field.masks) == d
+    for level in range(max(d, 0)):
+        want = sum(1 << v for v, x in enumerate(ref) if x == level)
+        assert field.masks[level] == want, level
+
+    # The complete banned field is untouched.
+    assert bfs_levels(adj, source, banned_nodes, banned_edges).tolist() == ref
+
+    for tie in ("min", "random"):
+        r_fast = np.random.default_rng(seed)
+        r_ref = np.random.default_rng(seed)
+        got = shortest_path(
+            adj, source, until, tie=tie, rng=r_fast,
+            banned_nodes=banned_nodes, banned_edges=banned_edges,
+        )
+        want = _ref_shortest_path(
+            adj, source, until, tie=tie, rng=r_ref,
+            banned_nodes=banned_nodes, banned_edges=banned_edges,
+        )
+        assert got == want, tie
+        assert r_fast.integers(1 << 30) == r_ref.integers(1 << 30), tie
 
 
 # --------------------------------------------------------------------------
