@@ -306,9 +306,10 @@ class GraphKernels:
                 break
             level += 1
             dist[new] = level
-            frontier = np.unique(new)
+            # The level's bit array, read back, is its sorted unique ids.
             bits = np.zeros(n, dtype=bool)
-            bits[frontier] = True
+            bits[new] = True
+            frontier = np.flatnonzero(bits)
             masks.append(
                 int.from_bytes(
                     np.packbits(bits, bitorder="little").tobytes(), "little"

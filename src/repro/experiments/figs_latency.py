@@ -8,7 +8,6 @@ the paper's plots.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Tuple
 
 from repro.core import PathCache
@@ -21,23 +20,11 @@ from repro.utils.rng import SeedLike, spawn_rngs
 
 
 def run_fig(
-    figure: int,
-    scale: str = "small",
-    seed: SeedLike = 0,
-    steady_state: bool = False,
+    figure: int, scale: str = "small", seed: SeedLike = 0
 ) -> ExperimentResult:
-    """One latency-load figure (11, 12 or 13).
-
-    ``steady_state=True`` switches every point's simulator to
-    convergence-driven run control (auto-extended warmup, early
-    measurement stop) instead of the preset's fixed cycle budget.
-    """
+    """One latency-load figure (11, 12 or 13); every point's run uses the
+    preset's fixed cycle budget."""
     preset = latency_preset(scale, figure)
-    if steady_state:
-        preset = dict(preset)
-        preset["config"] = dataclasses.replace(
-            preset["config"], steady_state=True
-        )
     spec = preset["topo"]
     topo_rng, pat_rng, sim_rng = spawn_rngs(seed, 3)
     topo = Jellyfish(spec.n, spec.x, spec.y, seed=topo_rng)
@@ -89,22 +76,16 @@ def run_fig(
     )
 
 
-def run_fig11(
-    scale: str = "small", seed: SeedLike = 0, steady_state: bool = False
-) -> ExperimentResult:
+def run_fig11(scale: str = "small", seed: SeedLike = 0) -> ExperimentResult:
     """Figure 11: uniform-random traffic."""
-    return run_fig(11, scale, seed, steady_state=steady_state)
+    return run_fig(11, scale, seed)
 
 
-def run_fig12(
-    scale: str = "small", seed: SeedLike = 0, steady_state: bool = False
-) -> ExperimentResult:
+def run_fig12(scale: str = "small", seed: SeedLike = 0) -> ExperimentResult:
     """Figure 12: a random permutation."""
-    return run_fig(12, scale, seed, steady_state=steady_state)
+    return run_fig(12, scale, seed)
 
 
-def run_fig13(
-    scale: str = "small", seed: SeedLike = 0, steady_state: bool = False
-) -> ExperimentResult:
+def run_fig13(scale: str = "small", seed: SeedLike = 0) -> ExperimentResult:
     """Figure 13: a random shift."""
-    return run_fig(13, scale, seed, steady_state=steady_state)
+    return run_fig(13, scale, seed)

@@ -13,7 +13,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.core import PathCache
-from repro.errors import ConfigurationError
 from repro.experiments.base import ExperimentResult
 from repro.experiments.presets import netsim_preset
 from repro.netsim import PatternTraffic, saturation_throughput
@@ -76,30 +75,20 @@ def run_fig(
     figure: int,
     scale: str = "small",
     seed: SeedLike = 0,
-    steady_state: bool = False,
     batch_lanes: int = 1,
 ) -> ExperimentResult:
     """One saturation-throughput figure (7-10).
 
-    ``steady_state=True`` switches every cell's simulator to
-    convergence-driven run control (auto-extended warmup, early
-    measurement stop) instead of the preset's fixed cycle budget.
-    ``batch_lanes=N`` runs each cell's patterns as lock-step lanes of
-    the batched engine; a rung with one pattern left runs on the fast
-    engine (results byte-identical either way).
+    Every run uses the preset's fixed cycle budget.  ``batch_lanes=N``
+    runs each cell's patterns as lock-step lanes of the batched engine;
+    a rung with one pattern left runs on the fast engine (results
+    byte-identical either way).
     """
-    if batch_lanes > 1 and steady_state:
-        raise ConfigurationError(
-            "steady_state figures cannot batch lanes: the batched engine "
-            "is fixed-budget only. Use batch_lanes=1 with --steady-state."
-        )
     preset = netsim_preset(scale, figure)
-    if steady_state or batch_lanes > 1:
+    if batch_lanes > 1:
         preset = dict(preset)
         preset["config"] = dataclasses.replace(
-            preset["config"],
-            steady_state=steady_state,
-            batch_lanes=batch_lanes,
+            preset["config"], batch_lanes=batch_lanes
         )
     spec = preset["topo"]
     shift_traffic = figure in (9, 10)
@@ -160,48 +149,28 @@ def run_fig(
 
 
 def run_fig7(
-    scale: str = "small",
-    seed: SeedLike = 0,
-    steady_state: bool = False,
-    batch_lanes: int = 1,
+    scale: str = "small", seed: SeedLike = 0, batch_lanes: int = 1
 ) -> ExperimentResult:
     """Figure 7: permutations on the small topology."""
-    return run_fig(
-        7, scale, seed, steady_state=steady_state, batch_lanes=batch_lanes
-    )
+    return run_fig(7, scale, seed, batch_lanes=batch_lanes)
 
 
 def run_fig8(
-    scale: str = "small",
-    seed: SeedLike = 0,
-    steady_state: bool = False,
-    batch_lanes: int = 1,
+    scale: str = "small", seed: SeedLike = 0, batch_lanes: int = 1
 ) -> ExperimentResult:
     """Figure 8: permutations on the medium topology."""
-    return run_fig(
-        8, scale, seed, steady_state=steady_state, batch_lanes=batch_lanes
-    )
+    return run_fig(8, scale, seed, batch_lanes=batch_lanes)
 
 
 def run_fig9(
-    scale: str = "small",
-    seed: SeedLike = 0,
-    steady_state: bool = False,
-    batch_lanes: int = 1,
+    scale: str = "small", seed: SeedLike = 0, batch_lanes: int = 1
 ) -> ExperimentResult:
     """Figure 9: shifts on the small topology."""
-    return run_fig(
-        9, scale, seed, steady_state=steady_state, batch_lanes=batch_lanes
-    )
+    return run_fig(9, scale, seed, batch_lanes=batch_lanes)
 
 
 def run_fig10(
-    scale: str = "small",
-    seed: SeedLike = 0,
-    steady_state: bool = False,
-    batch_lanes: int = 1,
+    scale: str = "small", seed: SeedLike = 0, batch_lanes: int = 1
 ) -> ExperimentResult:
     """Figure 10: shifts on the medium topology."""
-    return run_fig(
-        10, scale, seed, steady_state=steady_state, batch_lanes=batch_lanes
-    )
+    return run_fig(10, scale, seed, batch_lanes=batch_lanes)

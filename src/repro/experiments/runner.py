@@ -77,21 +77,18 @@ def run_experiment(
     seed: int = 0,
     processes: int = 1,
     path_store=None,
-    steady_state: bool = False,
     batch_lanes: int = 1,
     pairs_on_demand=None,
 ) -> ExperimentResult:
     """Run one experiment by id (``"table1"`` ... ``"fig13"``).
 
     ``processes`` and ``path_store`` feed the fast path-table pipeline
-    (parallel precompute + persistent tables); ``steady_state`` switches
-    cycle-level drivers to convergence-driven run control;
-    ``batch_lanes`` packs independent simulator runs into the batched
-    multi-lane engine; ``pairs_on_demand`` caps per-topology path
-    precompute at a fixed pair budget for the drivers that sample pairs.
-    Each keyword is forwarded only to drivers that accept it; for all but
-    ``steady_state`` and ``pairs_on_demand``, results are identical
-    either way.
+    (parallel precompute + persistent tables); ``batch_lanes`` packs
+    independent simulator runs into the batched multi-lane engine;
+    ``pairs_on_demand`` caps per-topology path precompute at a fixed pair
+    budget for the drivers that sample pairs.  Each keyword is forwarded
+    only to drivers that accept it; for all but ``pairs_on_demand``,
+    results are identical either way.
     """
     try:
         driver = EXPERIMENTS[name]
@@ -109,8 +106,6 @@ def run_experiment(
         kwargs["processes"] = processes
     if "path_store" in accepted:
         kwargs["path_store"] = path_store
-    if "steady_state" in accepted:
-        kwargs["steady_state"] = steady_state
     if "batch_lanes" in accepted:
         kwargs["batch_lanes"] = batch_lanes
     if "pairs_on_demand" in accepted and pairs_on_demand is not None:
@@ -254,14 +249,7 @@ def main(argv=None) -> int:
         metavar="N",
         help="pack up to N independent simulator runs per saturation cell "
         "into the batched multi-lane engine (results byte-identical to "
-        "N=1; incompatible with --steady-state; default: 1)",
-    )
-    parser.add_argument(
-        "--steady-state",
-        action="store_true",
-        help="convergence-driven run control for cycle-level experiments: "
-        "warmup auto-extends until the windowed ejection rate and latency "
-        "converge, and measurement ends early once samples agree",
+        "N=1; default: 1)",
     )
     parser.add_argument(
         "--live",
@@ -308,11 +296,6 @@ def main(argv=None) -> int:
         parser.error("--run-ledger requires --telemetry-dir")
     if args.batch_lanes < 1:
         parser.error("--batch-lanes must be >= 1")
-    if args.batch_lanes > 1 and args.steady_state:
-        parser.error(
-            "--batch-lanes > 1 is incompatible with --steady-state: the "
-            "batched engine is fixed-budget only"
-        )
 
     if args.pairs_on_demand is not None and args.pairs_on_demand < 1:
         parser.error("--pairs-on-demand must be >= 1")
@@ -364,7 +347,6 @@ def main(argv=None) -> int:
                     result = run_experiment(
                         name, scale=args.scale, seed=args.seed,
                         processes=args.processes, path_store=store,
-                        steady_state=args.steady_state,
                         batch_lanes=args.batch_lanes,
                         pairs_on_demand=args.pairs_on_demand,
                     )
@@ -429,7 +411,6 @@ def _emit_telemetry(
             "timeseries_window": args.timeseries_window,
             "linkstate": args.linkstate,
             "flowstats": args.flowstats,
-            "steady_state": args.steady_state,
             "batch_lanes": args.batch_lanes,
             "profile": args.profile,
         },

@@ -46,9 +46,8 @@ runs would have made (``tests/test_batchcore_equivalence.py`` pins all
 of it).
 
 Deliberate scope limits (each raises :class:`ConfigurationError` rather
-than silently diverging): fixed-budget run control only (no
-``steady_state``), no flight-recorder tracing, and only mechanisms with
-an array-native implementation (``sp``, ``random``, ``round_robin``,
+than silently diverging): no flight-recorder tracing, and only mechanisms
+with an array-native implementation (``sp``, ``random``, ``round_robin``,
 ``ksp_ugal``, ``ksp_adaptive``) — vanilla UGAL composes Valiant routes
 mid-run through its mechanism object, which a shared-table batch cannot
 replay.  The grid runner (:mod:`repro.netsim.parallel`) falls back to
@@ -81,7 +80,6 @@ from repro.netsim.simulator import (
     Simulator,
     UniformTraffic,
     build_result,
-    close_run,
     publish_run,
     register_run,
 )
@@ -158,10 +156,10 @@ class BatchSimulator:
         count their mechanism implies (the grid runner groups cells by
         it); a disagreement raises :class:`ConfigurationError`.
     config:
-        Shared simulator parameters (fixed-budget only).  VC-occupancy
-        samples follow :meth:`run`'s ``observe``, which defaults to
-        whether the metrics registry is enabled at ``run()`` time,
-        exactly like the serial engines.
+        Shared simulator parameters.  VC-occupancy samples follow
+        :meth:`run`'s ``observe``, which defaults to whether the metrics
+        registry is enabled at ``run()`` time, exactly like the serial
+        engines.
     """
 
     engine_name = "batched"
@@ -179,11 +177,6 @@ class BatchSimulator:
             raise ConfigurationError(
                 'engine="reference" cannot step batched lanes: the batched '
                 "engine is built on the array-native fast core"
-            )
-        if config.steady_state:
-            raise ConfigurationError(
-                "the batched engine supports fixed-budget run control only; "
-                "run steady_state cells per-run on the fast engine"
             )
         if obs_trace.active() is not None:
             raise ConfigurationError(
@@ -1537,9 +1530,7 @@ class BatchSimulator:
             observe = metrics.enabled()
         t_wall = time.perf_counter()
         self._refresh_tables()
-        self._measure_start = 1 << 62
         self._advance(0, cfg.warmup_cycles)
-        self._measure_start = cfg.warmup_cycles
         start = cfg.warmup_cycles
         for _ in range(cfg.n_samples):
             self._advance(start, start + cfg.sample_cycles)
@@ -1548,7 +1539,6 @@ class BatchSimulator:
                 buf = self._buffered_per_lane()
                 for lane in range(self._n):
                     self._occ_samples[lane].append(int(buf[lane]))
-        self._end_cycle = start
         if self._ts is not None:
             self._flush_window(start)  # the final, possibly partial window
         if self._ls is not None:
@@ -1573,7 +1563,7 @@ class BatchSimulator:
                 self._sample_counts[lane].tolist(),
                 self._mlat_vl[self._mlat_ml == lane],
                 self._link_flits[lane * n_sl : (lane + 1) * n_sl],
-                len(self._hosts[lane]), cfg.warmup_cycles, None,
+                len(self._hosts[lane]),
             )
             for lane in range(self._n)
         ]
@@ -1633,11 +1623,9 @@ class BatchSimulator:
         if ls is not None:
             for row in self._ls_rows[lane]:
                 ls.record_window(ls_run, **row)
-        pairs = lats = None
         if fs is not None:
             mask = self._mlat_ml == lane
-            pairs, lats = self._mlat_pl[mask], self._mlat_vl[mask]
-        close_run(result, ts, ts_run, fs, fs_run, pairs, lats)
+            fs.record_run(fs_run, self._mlat_pl[mask], self._mlat_vl[mask])
 
     # -------------------------------------------------------------- drain
     def drain(self) -> List[int]:

@@ -20,9 +20,6 @@ _INT_FIELDS = (
     "sample_cycles",
     "n_samples",
     "drain_max_cycles",
-    "steady_window_cycles",
-    "steady_check_windows",
-    "max_warmup_cycles",
     "batch_lanes",
 )
 
@@ -30,6 +27,10 @@ _INT_FIELDS = (
 @dataclass(frozen=True)
 class SimConfig:
     """Knobs of the flit-level simulator, defaulted to the paper's values.
+
+    Every run simulates one fixed cycle budget, as the paper's Booksim
+    runs do: ``warmup_cycles``, then ``n_samples`` samples of
+    ``sample_cycles`` each.
 
     Attributes
     ----------
@@ -57,27 +58,6 @@ class SimConfig:
         (queued flits summed along the whole source route plus pipeline
         delay, the default) or ``"first"`` (classic UGAL-L first-channel
         queue x hops product; kept for the ablation study).
-    steady_state:
-        Opt-in convergence-driven run control (off by default — the
-        paper's protocol is a fixed cycle budget).  When on, warmup runs
-        in ``steady_window_cycles`` windows until the windowed ejection
-        rate *and* mean latency both pass the moving-window convergence
-        test of :func:`repro.obs.timeseries.spans_converged` —
-        ``warmup_cycles`` becomes a floor and ``max_warmup_cycles`` the
-        ceiling — and measurement ends early once the last
-        ``steady_check_windows`` sample latencies agree within
-        ``steady_rel_tol``.
-    steady_window_cycles:
-        Width of the convergence-test windows during warmup.
-    steady_check_windows:
-        Windows per comparison span: converged when the means of the two
-        most recent spans of this many windows differ by at most
-        ``steady_rel_tol`` (relative).
-    steady_rel_tol:
-        Relative tolerance of the convergence tests.
-    max_warmup_cycles:
-        Hard ceiling on auto-extended warmup; a run still not converged
-        here starts measuring anyway (and is reported as such).
     engine:
         Simulator core: ``"fast"`` (the default array-native core of
         :mod:`repro.netsim.fastcore`) or ``"reference"`` (the original
@@ -101,11 +81,6 @@ class SimConfig:
     saturation_latency: float = 500.0
     drain_max_cycles: int = 20_000
     adaptive_estimate: str = "path"
-    steady_state: bool = False
-    steady_window_cycles: int = 100
-    steady_check_windows: int = 4
-    steady_rel_tol: float = 0.05
-    max_warmup_cycles: int = 8_000
     engine: str = "fast"
     batch_lanes: int = 1
 
@@ -138,26 +113,16 @@ class SimConfig:
             "sample_cycles",
             "n_samples",
             "drain_max_cycles",
-            "steady_window_cycles",
-            "steady_check_windows",
         ):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.warmup_cycles < 0:
             raise ConfigurationError("warmup_cycles must be >= 0")
-        # NaN compares false both ways, so a NaN threshold would never
-        # trip (saturation) or never pass (convergence).
-        for name in ("saturation_latency", "steady_rel_tol"):
-            value = getattr(self, name)
-            if not (
-                isinstance(value, Real) and math.isfinite(value) and value > 0
-            ):
-                raise ConfigurationError(
-                    f"{name} must be finite and > 0, got {value!r}"
-                )
-        if self.max_warmup_cycles < self.warmup_cycles:
+        # NaN compares false both ways, so a NaN threshold would never trip.
+        value = self.saturation_latency
+        if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
             raise ConfigurationError(
-                "max_warmup_cycles must be >= warmup_cycles"
+                f"saturation_latency must be finite and > 0, got {value!r}"
             )
 
     @property

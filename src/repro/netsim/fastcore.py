@@ -401,9 +401,9 @@ def _tables_for(paths: PathCache, wiring: NetworkWiring, n_vcs: int,
 class FastSimulator(Simulator):
     """The array-native engine (``SimConfig.engine == "fast"``).
 
-    Inherits run control (warmup, sampling, steady state, windows, drain,
-    metrics publication) from :class:`Simulator` and replaces the three
-    per-cycle phases that dominate the wall clock.
+    Inherits run control (warmup, sampling, windows, drain, metrics
+    publication) from :class:`Simulator` and replaces the three per-cycle
+    phases that dominate the wall clock.
     """
 
     engine_name = "fast"

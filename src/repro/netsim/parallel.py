@@ -35,7 +35,7 @@ from repro.netsim.batchcore import (
     lane_vc_count,
 )
 from repro.netsim.config import SimConfig
-from repro.netsim.sweep import saturation_throughput
+from repro.netsim.sweep import check_ladder, saturation_throughput
 from repro.netsim.simulator import PatternTraffic, Simulator
 from repro.obs import layers
 from repro.obs import monitor as obs_monitor
@@ -177,7 +177,7 @@ def run_batched_ladders(
     faster than a one-lane batch and byte-identical to it.  Every ladder
     draws exactly one run seed per executed rung from
     ``default_rng(seed)``, as the serial sweep does, and stops after its
-    first saturated rung.
+    first saturated rung, so ``rates`` must be strictly increasing.
 
     Each lane's telemetry is published under fresh recorders for the
     capture layers in ``cfgs`` and the rungs are merged per job in rate
@@ -186,8 +186,7 @@ def run_batched_ladders(
     the lane packing.  Returns ``(throughput, snapshots or None)`` per
     job, in job order.
     """
-    if not rates:
-        raise ConfigurationError("rates must be non-empty")
+    check_ladder(rates)
     ladders = [np.random.default_rng(job[3]) for job in jobs]
     group_of = [
         (cache.selector.name, lane_vc_count(topology, cache, mech, config))
@@ -328,11 +327,6 @@ def run_saturation_grid(
         raise ConfigurationError(f"processes must be >= 1, got {processes}")
     if not schemes or not mechanisms or not patterns:
         raise ConfigurationError("schemes, mechanisms and patterns must be non-empty")
-    if config.batch_lanes > 1 and config.steady_state:
-        raise ConfigurationError(
-            "steady_state grids cannot batch lanes: the batched engine is "
-            "fixed-budget only. Use batch_lanes=1 for steady-state sweeps."
-        )
 
     topo_doc = topology_to_dict(topology)
     # Warm one cache per scheme in the parent — only the pairs the

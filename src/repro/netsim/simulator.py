@@ -30,7 +30,7 @@ import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -131,9 +131,10 @@ class PatternTraffic:
 class SimResult:
     """Statistics of one simulation run.
 
-    ``sample_latencies`` holds the per-sample mean packet latencies the
-    saturation test inspects; a ``nan`` entry means the sample delivered
-    nothing (a fully jammed network, also treated as saturated).
+    ``sample_latencies`` holds the mean packet latency of each of the
+    run's ``config.n_samples`` samples, which the saturation test
+    inspects; a ``nan`` entry means the sample delivered nothing (a fully
+    jammed network, also treated as saturated).
     """
 
     injection_rate: float
@@ -150,19 +151,13 @@ class SimResult:
     max_link_utilisation: float
     mean_link_utilisation: float
     config: SimConfig = field(repr=False)
-    # Steady-state run control (``config.steady_state``): the warmup the
-    # run actually used, how many samples it measured before stopping,
-    # and whether warmup converged (``None`` for fixed-budget runs).
-    warmup_cycles_used: int = -1
-    measured_samples: int = -1
-    steady_converged: Optional[bool] = None
 
 
 # ------------------------------------------------------------ run record
-# Every engine keeps a run's record through the four functions below, so
+# Every engine keeps a run's record through the three functions below, so
 # the record cannot differ between engines.  The serial engines register
-# at construction and close at the end of run(); the batched engine runs
-# all four for each lane when it publishes the lane.
+# at construction and build and publish the result at the end of run();
+# the batched engine runs all three for each lane.
 
 
 def register_run(topology, config, scheme, mechanism, rate, ts, ls, fs):
@@ -193,8 +188,7 @@ def register_run(topology, config, scheme, mechanism, rate, ts, ls, fs):
 
 
 def build_result(config, rate, injected, delivered, sample_sums, sample_counts,
-                 latencies, link_flits, n_active_hosts, warmup_used,
-                 converged) -> SimResult:
+                 latencies, link_flits, n_active_hosts) -> SimResult:
     """A run's :class:`SimResult` from its tallies.
 
     ``sample_sums`` / ``sample_counts`` hold each measured sample's
@@ -207,7 +201,7 @@ def build_result(config, rate, injected, delivered, sample_sums, sample_counts,
         for s, c in zip(sample_sums, sample_counts)
     )
     measured = sum(sample_counts)
-    measured_cycles = len(samples) * config.sample_cycles
+    measured_cycles = config.measure_cycles
     saturated = any(
         (s != s) or s > config.saturation_latency for s in samples
     )
@@ -230,22 +224,7 @@ def build_result(config, rate, injected, delivered, sample_sums, sample_counts,
         max_link_utilisation=float(util.max()) if util.size else 0.0,
         mean_link_utilisation=float(util.mean()) if util.size else 0.0,
         config=config,
-        warmup_cycles_used=warmup_used,
-        measured_samples=len(samples),
-        steady_converged=converged,
     )
-
-
-def close_run(result: SimResult, ts, ts_run, fs, fs_run, pairs, latencies):
-    """Close one run in the time-series and flow recorders (each ``None``
-    when off): annotate the run control it used, and hand over its
-    measured ``(pair, latency)`` streams."""
-    if ts is not None:
-        ts.annotate_run(ts_run, warmup_cycles_used=result.warmup_cycles_used,
-                        measured_samples=result.measured_samples,
-                        steady_converged=result.steady_converged)
-    if fs is not None:
-        fs.record_run(fs_run, pairs, latencies)
 
 
 def publish_run(reg, result: SimResult, engine, scheme, cycles_per_sec, counts,
@@ -276,13 +255,6 @@ def publish_run(reg, result: SimResult, engine, scheme, cycles_per_sec, counts,
     for sample in occupancy_samples:
         occupancy.observe(sample)
     reg.array(f"netsim.link_flits/{scheme}", len(link_flits)).add(link_flits)
-    cfg = result.config
-    if cfg.steady_state:
-        reg.gauge("netsim.warmup_cycles_used").set(result.warmup_cycles_used)
-        if result.warmup_cycles_used > cfg.warmup_cycles:
-            reg.counter("netsim.steady_warmup_extended").inc()
-        if result.measured_samples < cfg.n_samples:
-            reg.counter("netsim.steady_early_stop").inc()
     stamp_latency_gauges(
         reg, result.latency_p50, result.latency_p99, result.mean_latency
     )
@@ -417,7 +389,6 @@ class Simulator:
         self.flits_forwarded = 0
         self.credit_stalls = 0
         self._occupancy_samples: List[int] = []
-        self._warmup_converged = False
 
         # Capture recorders (each off by default; the active recorders are
         # fixed at construction, so hot paths only test one local
@@ -450,9 +421,8 @@ class Simulator:
                 paths.path_index_map(s, d)
 
         # Windowed time series.  Cumulative ejection latency is tracked
-        # whenever the recorder or steady-state control needs per-window
-        # means; both are off by default.
-        self._track_lat = self._ts is not None or config.steady_state
+        # only for the recorder's per-window means (off by default).
+        self._track_lat = self._ts is not None
         self._lat_total = 0
         self._win_start = 0
         self._win_next = 0
@@ -833,68 +803,6 @@ class Simulator:
         self._ls_peak[:] = self._occupancy_view()
         self._ls_start = now
 
-    def _run_warmup(self) -> int:
-        """Run warmup; returns the cycle measurement starts at.
-
-        Fixed-budget runs (the default) simulate exactly
-        ``config.warmup_cycles``.  With ``config.steady_state`` on, warmup
-        proceeds in ``steady_window_cycles`` windows and ends at the first
-        boundary past the nominal warmup where the windowed ejection rate
-        and mean latency both test converged — extending up to
-        ``max_warmup_cycles`` when they do not.
-        """
-        cfg = self.config
-        if not cfg.steady_state:
-            self._advance(0, cfg.warmup_cycles)
-            return cfg.warmup_cycles
-        w = cfg.steady_window_cycles
-        hosts = max(1, len(self.active_hosts))
-        rates: List[float] = []
-        lats: List[float] = []
-        prev_del = 0
-        prev_lat = 0
-        t = 0
-        converged = False
-        while True:
-            self._advance(t, t + w)
-            t += w
-            d = self.delivered - prev_del
-            rates.append(d / (w * hosts))
-            lats.append(
-                (self._lat_total - prev_lat) / d if d else float("nan")
-            )
-            prev_del = self.delivered
-            prev_lat = self._lat_total
-            converged = obs_timeseries.spans_converged(
-                rates, cfg.steady_check_windows, cfg.steady_rel_tol
-            ) and obs_timeseries.spans_converged(
-                lats, cfg.steady_check_windows, cfg.steady_rel_tol
-            )
-            if t >= cfg.warmup_cycles and (
-                converged or t + w > cfg.max_warmup_cycles
-            ):
-                break
-        self._warmup_converged = converged
-        return t
-
-    def _samples_converged(self, n_done: int) -> bool:
-        """True when the last ``steady_check_windows`` sample latencies
-        all exist and agree within ``steady_rel_tol`` (relative spread)."""
-        cfg = self.config
-        m = cfg.steady_check_windows
-        if n_done < max(2, m):
-            return False
-        means = []
-        for i in range(n_done - m, n_done):
-            if not self._sample_counts[i]:
-                return False
-            means.append(self._sample_sums[i] / self._sample_counts[i])
-        lo, hi = min(means), max(means)
-        mid = sum(means) / len(means)
-        if mid == 0.0:
-            return hi == lo
-        return hi - lo <= cfg.steady_rel_tol * abs(mid)
-
     def run(self) -> SimResult:
         """Simulate warmup + measurement and return the run statistics.
 
@@ -906,45 +814,29 @@ class Simulator:
         cfg = self.config
         observe = metrics.enabled()
         t_wall = time.perf_counter()
-        # Hide the measurement window until warmup actually ends — with
-        # steady-state control its end is not known in advance.
-        self._measure_start = 1 << 62
-        warmup_used = self._run_warmup()
-        self._measure_start = warmup_used
-        start = warmup_used
-        n_done = 0
+        self._advance(0, cfg.warmup_cycles)
+        start = cfg.warmup_cycles
         for _ in range(cfg.n_samples):
             self._advance(start, start + cfg.sample_cycles)
             start += cfg.sample_cycles
-            n_done += 1
             if observe:
                 self._occupancy_samples.append(self.buffered_flits())
-            if (
-                cfg.steady_state
-                and n_done < cfg.n_samples
-                and self._samples_converged(n_done)
-            ):
-                break
-        self._end_cycle = start
         if self._ts is not None:
             self._flush_window(start)  # the final, possibly partial window
         if self._ls is not None:
             self._flush_ls_window(start)  # the final, possibly partial window
         result = build_result(
             cfg, self.rate, self.injected, self.delivered,
-            self._sample_sums[:n_done], self._sample_counts[:n_done],
+            self._sample_sums, self._sample_counts,
             self._latencies, self._link_flits, len(self.active_hosts),
-            warmup_used, self._warmup_converged if cfg.steady_state else None,
         )
         # Wall-clock cycle throughput of this run (never part of the
         # deterministic result; recorded per engine for cross-engine
         # manifest comparisons).
         wall = time.perf_counter() - t_wall
         self.cycles_per_sec = self._end_cycle / wall if wall > 0 else 0.0
-        close_run(
-            result, self._ts, self._ts_run, self._fs, self._fs_run,
-            self._fs_pairs, self._latencies,
-        )
+        if self._fs is not None:
+            self._fs.record_run(self._fs_run, self._fs_pairs, self._latencies)
         publish_run(
             metrics.active(), result, self.engine_name, self._scheme,
             self.cycles_per_sec,

@@ -34,6 +34,23 @@ class SweepPoint:
     result: SimResult
 
 
+def check_ladder(rates: Sequence[float], stops: bool = True) -> None:
+    """Reject a rate ladder that cannot be climbed.
+
+    Every ladder must be non-empty.  A ladder that stops at its first
+    saturated rung (``stops``) must also be strictly increasing: its
+    answer is the last rung before that one, which is the highest
+    unsaturated rate only when the rungs climb.
+    """
+    if len(rates) == 0:
+        raise ConfigurationError("rates must be non-empty")
+    if stops and any(b <= a for a, b in zip(rates, rates[1:])):
+        raise ConfigurationError(
+            "rates must be strictly increasing for a ladder that stops at "
+            f"its first saturated rung, got {tuple(float(r) for r in rates)}"
+        )
+
+
 def _run_one(
     topology: Jellyfish,
     paths: PathCache,
@@ -68,10 +85,10 @@ def latency_curve(
     """Average packet latency at each offered load (Figures 11-13).
 
     Stops the ladder after the first saturated point by default — beyond
-    saturation the latency is unbounded and the paper's plots end there.
+    saturation the latency is unbounded and the paper's plots end there;
+    such a ladder must be strictly increasing (:func:`check_ladder`).
     """
-    if not rates:
-        raise ConfigurationError("rates must be non-empty")
+    check_ladder(rates, stops=stop_after_saturation)
     rng = ensure_rng(seed)
     points: List[SweepPoint] = []
     for rate in rates:

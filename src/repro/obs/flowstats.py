@@ -75,20 +75,12 @@ def latency_bins(config) -> int:
     """The exact-histogram bin count implied by a run's cycle budget.
 
     A measured latency is recorded at ejection inside the measurement
-    window, so it is strictly below ``warmup_used + measure_cycles``;
-    under ``steady_state`` run control the warmup may auto-extend up to
-    ``max(warmup_cycles, max_warmup_cycles) + steady_window_cycles``.
-    One bin per integer cycle value up to that bound keeps percentiles
-    exact and makes the bin count a pure function of the config — every
-    engine tier derives the identical histogram shape.
+    window, so it is strictly below ``total_cycles`` (warmup plus
+    measurement).  One bin per integer cycle value up to that bound keeps
+    percentiles exact and makes the bin count a pure function of the
+    config — every engine tier derives the identical histogram shape.
     """
-    warmup = int(config.warmup_cycles)
-    if getattr(config, "steady_state", False):
-        warmup = (
-            max(warmup, int(config.max_warmup_cycles))
-            + int(config.steady_window_cycles)
-        )
-    return warmup + int(config.measure_cycles)
+    return config.total_cycles
 
 
 def pair_endpoints(n_hosts: int) -> Dict[str, np.ndarray]:

@@ -19,11 +19,11 @@ so a parallel ``run_saturation_grid`` produces the byte-identical time
 series of a serial run.
 
 On top of the raw series sit the steady-state tools:
-:func:`spans_converged` is the moving-window convergence test the
-simulator's opt-in ``SimConfig.steady_state`` mode uses to auto-extend
-warmup, and :func:`steady_state_report` replays the same test over a
-recorded snapshot to report, per run, whether the configured warmup was
-actually sufficient (the number the manifest carries).
+:func:`spans_converged` is a moving-window convergence test,
+:func:`detect_convergence` finds the first window where every series
+passes it, and :func:`steady_state_report` replays it over a recorded
+snapshot to report, per run, whether the configured warmup was actually
+sufficient (the number the manifest carries).
 """
 
 from __future__ import annotations
@@ -116,11 +116,6 @@ class TimeseriesRecorder:
         self.runs.append(dict(meta))
         self._next_index = 0
         return len(self.runs) - 1
-
-    def annotate_run(self, run: int, **fields) -> None:
-        """Attach late facts (e.g. the realized warmup length) to a run."""
-        if 0 <= run < len(self.runs):
-            self.runs[run].update(fields)
 
     def _grow_to(self, rows: int) -> None:
         if rows <= self._cap:
@@ -333,8 +328,8 @@ def steady_state_report(
 
     For every run, replays :func:`detect_convergence` over the windowed
     ejection rate and mean latency and compares the first converged cycle
-    against the warmup the run actually used (``warmup_cycles_used`` if
-    the simulator annotated it, else the configured ``warmup_cycles``).
+    against the run's ``warmup_cycles`` (or the ``warmup_cycles_used``
+    that artifacts of older, convergence-driven runs carry).
     A run whose series never converge — or converge only after warmup
     ended — had an insufficient warmup: its measurement window includes
     transient behaviour.

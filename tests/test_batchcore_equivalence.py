@@ -440,13 +440,6 @@ class TestBatchValidation:
     def _one_lane(self):
         return [BatchLane("sp", _traffic("uniform", 24), 0.4, seed=1)]
 
-    def test_steady_state_rejected(self):
-        with pytest.raises(ConfigurationError, match="fixed-budget"):
-            BatchSimulator(
-                _topo(), PathCache(_topo(), "redksp", k=4, seed=1),
-                self._one_lane(), SimConfig(**CYCLES, steady_state=True),
-            )
-
     def test_unbatchable_mechanism_rejected(self):
         with pytest.raises(ConfigurationError, match="ugal"):
             BatchSimulator(

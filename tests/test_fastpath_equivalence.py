@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Jellyfish, PathCache
 from repro.core.dijkstra import bfs_levels, shortest_path
-from repro.core.kernels import GraphKernels, ban_masks
+from repro.core.kernels import _BITSET_MAX, GraphKernels, ban_masks
 
 
 # --------------------------------------------------------------------------
@@ -339,6 +339,31 @@ def test_target_directed_field_matches_reference(spec, seed):
         )
         assert got == want, tie
         assert r_fast.integers(1 << 30) == r_ref.integers(1 << 30), tie
+
+
+def test_csr_field_matches_reference_with_unequal_degrees():
+    # Above _BITSET_MAX nodes, field() runs the CSR BFS; unequal degrees
+    # make it gather each frontier node's neighbour range instead of
+    # reading the 2-D neighbour table of a regular graph.
+    adj = [list(row) for row in Jellyfish(720, 24, 19, seed=1).adjacency]
+    rng = np.random.default_rng(0)
+    ends = []
+    for u in rng.choice(len(adj), size=8, replace=False).tolist():
+        v = adj[u][0]
+        adj[u].remove(v)
+        adj[v].remove(u)
+        ends += [u, v]
+    kernels = GraphKernels(adj)
+    assert kernels.n > _BITSET_MAX
+    kernels.csr()
+    assert kernels._ind2d is None
+    for source in ends + rng.choice(len(adj), size=16, replace=False).tolist():
+        field = kernels.field(source)
+        ref = _ref_bfs_levels(adj, source)
+        assert field.dist == ref, source
+        assert len(field.masks) == max(ref) + 1
+        for level, mask in enumerate(field.masks):
+            assert mask == sum(1 << v for v, x in enumerate(ref) if x == level)
 
 
 # --------------------------------------------------------------------------

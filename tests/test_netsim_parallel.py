@@ -93,6 +93,17 @@ class TestGrid:
                     config=dataclasses.replace(TINY, batch_lanes=lanes),
                 )
 
+    def test_ladder_must_climb(self, topo):
+        # Both tiers stop a cell at its first saturated rung, so a ladder
+        # that does not climb is an error there, never a low reading.
+        pats = [random_permutation(topo.n_hosts, seed=s) for s in (0, 1)]
+        for lanes in (1, 4):
+            with pytest.raises(ConfigurationError, match="strictly increasing"):
+                run_saturation_grid(
+                    topo, ["ksp"], ["random"], pats, rates=(0.3, 0.1),
+                    config=dataclasses.replace(TINY, batch_lanes=lanes),
+                )
+
 
 def _strip_engine_identity(snap):
     """Drop the keys that legitimately differ between engine tiers."""
@@ -208,15 +219,3 @@ class TestGridBatching:
         assert inline[0] == pooled[0]
         assert inline[1] == pooled[1]
         _assert_ts_equal(inline[2], pooled[2])
-
-    def test_steady_state_rejects_batching(self, topo):
-        pats = [random_permutation(topo.n_hosts, seed=0)]
-        cfg = SimConfig(
-            warmup_cycles=50, sample_cycles=50, n_samples=2,
-            batch_lanes=2, steady_state=True,
-        )
-        with pytest.raises(ConfigurationError, match="steady_state"):
-            run_saturation_grid(
-                topo, ["redksp"], ["random"], pats,
-                k=3, rates=(0.5,), config=cfg, seed=0,
-            )

@@ -321,7 +321,6 @@ class TestSimConfig:
         # A NaN threshold is never crossed: every ladder reads its top rung.
         ("saturation_latency", float("nan")),
         ("saturation_latency", float("inf")),
-        ("steady_rel_tol", float("nan")),
         # Non-integer cycle, size and count fields crash deep in an engine
         # or change a result silently.
         ("channel_latency", 2.5),
@@ -330,9 +329,6 @@ class TestSimConfig:
         ("warmup_cycles", True),
         ("sample_cycles", 50.5),
         ("n_samples", 3.0),
-        ("steady_window_cycles", 100.0),
-        ("steady_check_windows", True),
-        ("max_warmup_cycles", 8000.5),
         ("batch_lanes", 2.0),
         ("drain_max_cycles", 0),
         ("drain_max_cycles", -5),
@@ -344,6 +340,21 @@ class TestSimConfig:
     def test_totals(self):
         cfg = SimConfig(warmup_cycles=100, sample_cycles=50, n_samples=4)
         assert cfg.total_cycles == 300
+
+    def test_long_fixed_warmup(self, topo, paths):
+        # Warmup is a fixed cycle count with no ceiling, however long.
+        assert SimConfig(warmup_cycles=9000).total_cycles == 14_000
+        cfg = SimConfig(warmup_cycles=8_001, sample_cycles=50, n_samples=1)
+        sim = Simulator(
+            topo, paths, "random", UniformTraffic(topo.n_hosts), 0.1, cfg, seed=2
+        )
+        result = sim.run()
+        assert len(result.sample_latencies) == 1
+        assert result.measured_delivered > 0
+        assert result.accepted_throughput == pytest.approx(0.1, abs=0.05)
+        assert not result.saturated
+        sim.drain()
+        sim.check_conservation()
 
 
 class TestSweeps:

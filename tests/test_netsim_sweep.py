@@ -1,8 +1,10 @@
 """Unit tests for the sweep module's protocol details."""
 
+import numpy as np
 import pytest
 
 from repro import Jellyfish, PathCache
+from repro.errors import ConfigurationError
 from repro.netsim import SimConfig, UniformTraffic, latency_curve, saturation_throughput
 from repro.netsim.sweep import DEFAULT_RATES, SweepPoint
 
@@ -55,6 +57,31 @@ class TestProtocol:
         )
         assert th == 0.0
         assert len(pts) == 1  # stopped at the first saturated point
+
+    @pytest.mark.parametrize("rates", [(0.3, 0.1), (0.2, 0.2)])
+    def test_stopping_ladder_must_climb(self, setup, rates):
+        # The answer is the last rung before the first saturated one: the
+        # highest unsaturated rate only on a climbing ladder ((0.3, 0.1)
+        # ran both rungs unsaturated and reported 0.1).
+        topo, paths = setup
+        traffic = UniformTraffic(topo.n_hosts)
+        for ladder in (rates, np.array(rates)):
+            with pytest.raises(ConfigurationError, match="strictly increasing"):
+                saturation_throughput(
+                    topo, paths, "random", traffic, rates=ladder, config=TINY,
+                    seed=0,
+                )
+            with pytest.raises(ConfigurationError, match="strictly increasing"):
+                latency_curve(
+                    topo, paths, "random", traffic, rates=ladder, config=TINY,
+                    seed=0,
+                )
+        # A ladder that runs every rung keeps any order.
+        pts = latency_curve(
+            topo, paths, "random", traffic, rates=rates, config=TINY, seed=0,
+            stop_after_saturation=False,
+        )
+        assert [p.rate for p in pts] == list(rates)
 
     def test_distinct_seeds_at_each_rate(self, setup):
         # Each ladder step must use an independent stream; identical

@@ -205,11 +205,6 @@ class TestRecorder:
 def test_latency_bins_is_a_pure_config_function():
     cfg = SimConfig(warmup_cycles=100, sample_cycles=100, n_samples=3)
     assert latency_bins(cfg) == 100 + cfg.measure_cycles
-    steady = SimConfig(
-        warmup_cycles=100, sample_cycles=100, n_samples=3,
-        steady_state=True, steady_window_cycles=50, max_warmup_cycles=400,
-    )
-    assert latency_bins(steady) == 400 + 50 + steady.measure_cycles
 
 
 def test_pair_endpoints_table():

@@ -146,22 +146,6 @@ def test_runner_writes_timeseries_and_steady_report(tmp_path, capsys, monkeypatc
     assert "# timeseries:" in printed
 
 
-def test_runner_steady_state_flag_reaches_simulator(tmp_path, monkeypatch):
-    from repro.experiments import runner
-
-    seen = {}
-
-    def probe(scale="small", seed=0, steady_state=False):
-        seen["steady_state"] = steady_state
-        return _tiny_sim_experiment(scale, seed)
-
-    monkeypatch.setitem(runner.EXPERIMENTS, "probe", probe)
-    assert main(["probe", "--steady-state"]) == 0
-    assert seen["steady_state"] is True
-    assert main(["probe"]) == 0
-    assert seen["steady_state"] is False
-
-
 def test_git_commit_cached_per_process(monkeypatch):
     import subprocess
 

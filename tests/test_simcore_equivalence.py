@@ -10,7 +10,7 @@ hit/miss counts, and bitwise-identical telemetry artifacts (metrics
 snapshots, trace ``.npz``, time-series ``.npz``).
 
 These tests pin that contract across all six routing mechanisms, uniform and
-pattern traffic, fixed-budget and steady-state run control, cold and
+pattern traffic, the time-series steady-state report, cold and
 pre-warmed path caches, both adaptive latency estimates, and traced runs
 (tracing forces the fast core onto its scalar launch fallback and turns on
 its flight-recorder events, credit stalls inside a saturated network
@@ -34,18 +34,15 @@ from repro.netsim import SimConfig, Simulator, UniformTraffic, PatternTraffic
 from repro.netsim.batchcore import BatchLane, BatchSimulator
 from repro.netsim.fastcore import FastSimulator
 from repro.obs import flowstats, linkstate, metrics, timeseries, trace
+from repro.obs.timeseries import steady_state_report
 from repro.traffic import random_permutation
 
 MECHANISMS = ["sp", "random", "round_robin", "ugal", "ksp_ugal", "ksp_adaptive"]
 
 #: Short but non-trivial: long enough for credit stalls, misroutes and
 #: adaptive decisions to occur, short enough to run 6 mechanisms x 2
-#: traffics x 2 run-control modes x 2 engines in seconds.
+#: traffics x 2 engines in seconds.
 CYCLES = dict(warmup_cycles=60, sample_cycles=60, n_samples=2)
-STEADY = dict(
-    steady_state=True, steady_window_cycles=30, steady_check_windows=2,
-    warmup_cycles=60, max_warmup_cycles=240, sample_cycles=60, n_samples=2,
-)
 #: A saturated network: tiny buffers at load 0.9 keep switch buffers full,
 #: so head-of-line flits stall for credit inside the network.
 SATURATED = dict(rate=0.9, vc_buffer=2)
@@ -63,8 +60,8 @@ def _traffic(kind, n_hosts):
     return PatternTraffic(random_permutation(n_hosts, seed=5))
 
 
-def _run(engine, mechanism, traffic_kind, *, steady=False, rate=0.4,
-         vc_buffer=None, prewarm=False, adaptive_estimate=None):
+def _run(engine, mechanism, traffic_kind, *, rate=0.4, vc_buffer=None,
+         prewarm=False, adaptive_estimate=None):
     """One full run on ``engine``; returns (fingerprint, simulator)."""
     topo = _topo()
     paths = PathCache(topo, "redksp", k=4, seed=1)
@@ -74,7 +71,7 @@ def _run(engine, mechanism, traffic_kind, *, steady=False, rate=0.4,
             for d in range(topo.n_switches):
                 paths.get(s, d)
         paths.hits = paths.misses = 0
-    knobs = dict(STEADY if steady else CYCLES, engine=engine)
+    knobs = dict(CYCLES, engine=engine)
     if vc_buffer is not None:
         knobs["vc_buffer"] = vc_buffer
     if adaptive_estimate is not None:
@@ -108,6 +105,25 @@ def _assert_equivalent(mechanism, traffic_kind, **kwargs):
     return fast
 
 
+def _assert_steady_report_equivalent(mechanism, traffic_kind):
+    """Both engines record the same time series with the recorder on, so
+    the steady-state (warmup-sufficiency) report over it agrees too."""
+    docs = {}
+    for engine in ("fast", "reference"):
+        with timeseries.capture(window=15) as rec:
+            fingerprint, _ = _run(engine, mechanism, traffic_kind)
+        snap = rec.snapshot()
+        docs[engine] = (
+            fingerprint,
+            _canon(dict(snap, runs=json.dumps(snap["runs"]))),
+            steady_state_report(snap, check_windows=2),
+        )
+    assert docs["fast"] == docs["reference"]
+    # 180 cycles in 15-cycle windows: every window of the run is compared.
+    assert docs["fast"][2]["n_runs"] == 1
+    assert int(docs["fast"][1]["n_windows"]) == 12
+
+
 class TestResultEquivalence:
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_uniform_traffic(self, mechanism):
@@ -119,14 +135,11 @@ class TestResultEquivalence:
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_steady_state_uniform(self, mechanism):
-        fp = _assert_equivalent(mechanism, "uniform", steady=True)
-        # Steady-state control actually engaged (not a vacuous pass).
-        assert fp["result"]["warmup_cycles_used"] >= 60
-        assert fp["result"]["steady_converged"] is not None
+        _assert_steady_report_equivalent(mechanism, "uniform")
 
     @pytest.mark.parametrize("mechanism", ["sp", "ksp_ugal", "ksp_adaptive"])
     def test_steady_state_pattern(self, mechanism):
-        _assert_equivalent(mechanism, "perm", steady=True)
+        _assert_steady_report_equivalent(mechanism, "perm")
 
     def test_high_load_saturation(self):
         # Near saturation the VC ladder, misrouting and credit stalls all
@@ -276,9 +289,9 @@ class TestRunRecordPinned:
     """
 
     DIGESTS = {
-        "reference": "0733917e785728cb34e3daa0c1f36b1460ffe9a666022b98819816d460229e64",
-        "fast": "66da7e22fbe500b16e3a88b77f6ac83464b227c2f6cf88810d9fdfd8aba77c92",
-        "batched": "20caf6893f315e7957420021ed6b3b705002d24b1e5be495566f4a100fe913c3",
+        "reference": "f81ea135ad0100e49d3ab919a0b0c525726fe961e957a00a9c337ea53e89a60d",
+        "fast": "0ea9f049d173155764c635774e9e0d85df088abcc8b423391d96b0621d1cce8d",
+        "batched": "8db4eded72dbd79be6fce0bd45680a7ae0b1276937f4f5c7e7715f915b432bd8",
     }
 
     @staticmethod
@@ -287,7 +300,7 @@ class TestRunRecordPinned:
         paths = PathCache(topo, "redksp", k=4, seed=1)
         perm = _traffic("perm", topo.n_hosts)
         if case == "reference":
-            cfg = SimConfig(**STEADY, engine="reference")
+            cfg = SimConfig(**CYCLES, engine="reference")
             sim = Simulator(topo, paths, "ksp_adaptive",
                             UniformTraffic(topo.n_hosts), 0.4, cfg, seed=11)
             return [sim.run()]
