@@ -12,7 +12,16 @@ from repro import Jellyfish, PathCache
 from repro.appsim.fairshare import maxmin_rates
 from repro.core.dijkstra import bfs_levels, shortest_path
 from repro.core.yen import k_shortest_paths
-from repro.netsim import SimConfig, Simulator, UniformTraffic, run_saturation_grid
+from repro.experiments.presets import netsim_preset
+from repro.netsim import (
+    PatternTraffic,
+    SimConfig,
+    Simulator,
+    UniformTraffic,
+    latency_curve,
+    run_saturation_grid,
+    saturation_throughput,
+)
 from repro.obs import flowstats
 from repro.obs import linkstate
 from repro.obs import metrics
@@ -20,7 +29,8 @@ from repro.obs import timeseries
 from repro.obs import trace
 from repro.topology.metrics import average_shortest_path_length
 from repro.topology.rrg import random_regular_graph
-from repro.traffic import random_permutation
+from repro.traffic import random_permutation, random_shift
+from repro.utils.rng import spawn_rngs
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +262,59 @@ def test_perf_grid_batched(benchmark, grid_workload):
         rounds=3, iterations=1, warmup_rounds=1,
     )
     assert all(0.0 <= v <= 1.0 for v in grid.values())
+
+
+@pytest.fixture(scope="module")
+def saturation_cell():
+    """The seed-0 rEDKSP ``round_robin`` cell of Figure 9 at small scale.
+
+    Seeded as ``run_fig`` seeds it.  The cell never saturates, so a
+    climb runs all 10 rungs of the preset's ladder (0.1 to 1.0) and the
+    search probes 5 of them (0.1, 0.2, 0.4, 0.8 and 1.0).
+    """
+    preset = netsim_preset("small", 9)
+    spec = preset["topo"]
+    topo_rng, pat_rng = spawn_rngs(0, preset["n_patterns"] + 1)
+    topo = Jellyfish(spec.n, spec.x, spec.y, seed=topo_rng)
+    si = preset["schemes"].index("redksp")
+    mi = preset["mechanisms"].index("round_robin")
+    cache_seed = [int(topo_rng.integers(2**31)) for _ in range(si + 1)][-1]
+    return dict(
+        topology=topo,
+        paths=PathCache(topo, "redksp", k=preset["k"], seed=cache_seed),
+        mechanism="round_robin",
+        traffic=PatternTraffic(random_shift(topo.n_hosts, seed=pat_rng)),
+        rates=preset["rates"],
+        config=preset["config"],
+        seed=np.random.SeedSequence(entropy=9, spawn_key=(si, mi, 0)),
+    )
+
+
+def test_perf_saturation_ladder(benchmark, saturation_cell):
+    """The cell's saturation rung found by climbing the ladder.
+
+    The baseline row of the search gate: ``compare.py
+    --require-speedup`` divides this row's mean by the search row's and
+    the CI perf-smoke job fails below the gated ratio.
+    """
+    benchmark.extra_info["engines"] = ["fast"]
+    points = benchmark.pedantic(
+        lambda: latency_curve(**saturation_cell, stop_after_saturation=True),
+        rounds=3, iterations=1, warmup_rounds=1,
+    )
+    assert len(points) == 10
+    assert not any(p.result.saturated for p in points)
+    assert points[-1].rate == 1.0
+
+
+def test_perf_saturation_search(benchmark, saturation_cell):
+    """The same cell through ``saturation_throughput``'s ladder search."""
+    benchmark.extra_info["engines"] = ["fast"]
+    throughput, _ = benchmark.pedantic(
+        lambda: saturation_throughput(**saturation_cell),
+        rounds=3, iterations=1, warmup_rounds=1,
+    )
+    assert throughput == 1.0
 
 
 def test_perf_path_index_map(benchmark):

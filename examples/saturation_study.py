@@ -8,7 +8,7 @@ latency-versus-load curve of the winning configuration.
 
 Run with::
 
-    python examples/saturation_study.py        (~1 minute)
+    python examples/saturation_study.py        (~25 s)
 """
 
 from repro import Jellyfish, PathCache

@@ -36,13 +36,16 @@ def _cell_throughputs(
 ) -> List[float]:
     """Per-pattern saturation throughput of one (scheme, mechanism) cell.
 
-    With ``config.batch_lanes > 1``, the cell's patterns climb the rate
-    ladder in lock-step through the batched engine
+    Each pattern's rung is found by the ladder search of
+    :func:`~repro.netsim.sweep.saturation_throughput`.  With
+    ``config.batch_lanes > 1``, the cell's patterns search the ladder in
+    lock-step through the batched engine
     (:func:`~repro.netsim.parallel.run_batched_ladders`, the grid's own
-    rung stepper, which runs a rung with one surviving pattern on the
-    fast engine), and each pattern's telemetry is merged home in serial
-    (pattern-major, rate-minor) order afterwards — so throughputs and run
-    artifacts are byte-identical to the per-pattern serial sweeps.
+    search stepper, whose lanes may probe different rates and which runs
+    a probe packed alone on the fast engine), and each pattern's
+    telemetry is merged home in serial (pattern-major, probe-minor)
+    order afterwards — so throughputs and run artifacts are
+    byte-identical to the per-pattern serial sweeps.
     Mechanisms the batched engine cannot take (vanilla UGAL) stay serial,
     as does every cell while the flight recorder is on.
     """
@@ -79,10 +82,12 @@ def run_fig(
 ) -> ExperimentResult:
     """One saturation-throughput figure (7-10).
 
-    Every run uses the preset's fixed cycle budget.  ``batch_lanes=N``
-    runs each cell's patterns as lock-step lanes of the batched engine;
-    a rung with one pattern left runs on the fast engine (results
-    byte-identical either way).
+    Every run uses the preset's fixed cycle budget, and each cell's
+    throughput is the last rate of the preset's ladder before saturation,
+    found by a search that probes a few rungs.  ``batch_lanes=N`` runs
+    each cell's patterns as lock-step lanes of the batched engine; a
+    probe packed alone runs on the fast engine (results byte-identical
+    either way).
     """
     preset = netsim_preset(scale, figure)
     if batch_lanes > 1:

@@ -435,7 +435,8 @@ def _emit_telemetry(
         print(
             f"steady state: {steady_report['n_warmup_sufficient']}"
             f"/{steady_report['n_runs']} runs had sufficient warmup "
-            f"({steady_report['n_converged']} converged; "
+            f"({steady_report['n_converged']} converged, "
+            f"{steady_report['n_undetermined']} undetermined; "
             f"check_windows={steady_report['check_windows']}, "
             f"rel_tol={steady_report['rel_tol']})"
         )
@@ -531,6 +532,7 @@ def _emit_timeseries(name: str, args, telemetry_dir: Path):
         runs=int(snap["n_runs"]),
         windows=int(snap["n_windows"]),
         warmup_sufficient=int(report["n_warmup_sufficient"]),
+        warmup_undetermined=int(report["n_undetermined"]),
     )
     return report, ts_path
 

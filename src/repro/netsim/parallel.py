@@ -35,7 +35,12 @@ from repro.netsim.batchcore import (
     lane_vc_count,
 )
 from repro.netsim.config import SimConfig
-from repro.netsim.sweep import check_ladder, saturation_throughput
+from repro.netsim.sweep import (
+    LadderSearch,
+    check_ladder,
+    rung_seeds,
+    saturation_throughput,
+)
 from repro.netsim.simulator import PatternTraffic, Simulator
 from repro.obs import layers
 from repro.obs import monitor as obs_monitor
@@ -164,42 +169,47 @@ def run_batched_ladders(
     cfgs: Mapping[str, dict],
     hb: Optional[obs_monitor.Heartbeater] = None,
 ) -> List[Tuple[float, Optional[Dict[str, dict]]]]:
-    """Saturation ladders of many runs, rung-stepped through the batched engine.
+    """Saturation searches of many runs, stepped through the batched engine.
 
     ``jobs`` holds one ``(cache, mechanism, traffic, ladder seed)`` per
     saturation sweep, every mechanism batchable and the flight recorder
-    off.  The ladders advance one injection rate at a time: at each rate
-    the jobs still below saturation are grouped by (scheme, VC count) —
-    lanes of one batch must share a buffer layout — and packed into
-    batches of at most ``config.batch_lanes`` lanes, each one lock-step
-    :class:`~repro.netsim.batchcore.BatchSimulator` run; a pack of one
-    lane runs its rung on the per-run fast engine instead, which is
-    faster than a one-lane batch and byte-identical to it.  Every ladder
-    draws exactly one run seed per executed rung from
-    ``default_rng(seed)``, as the serial sweep does, and stops after its
-    first saturated rung, so ``rates`` must be strictly increasing.
+    off.  Each job searches the strictly increasing ladder ``rates`` with
+    its own :class:`~repro.netsim.sweep.LadderSearch`, as
+    :func:`~repro.netsim.sweep.saturation_throughput` does, and all jobs
+    advance one probe per step: at each step the jobs still searching are
+    grouped by (scheme, VC count) — lanes of one batch must share a
+    buffer layout — and packed into batches of at most
+    ``config.batch_lanes`` lanes, each one lock-step
+    :class:`~repro.netsim.batchcore.BatchSimulator` run whose lanes may
+    probe different rates; a pack of one lane runs its probe on the
+    per-run fast engine instead, which is faster than a one-lane batch
+    and byte-identical to it.  Rung ``i`` of a job runs with the ``i``-th
+    run seed drawn from ``default_rng(seed)`` (:func:`rung_seeds`), the
+    seed the serial sweep gives it.
 
     Each lane's telemetry is published under fresh recorders for the
-    capture layers in ``cfgs`` and the rungs are merged per job in rate
-    order, so each job's throughput and ``{layer: snapshot}`` are
-    byte-identical to its serial ``saturation_throughput`` run whatever
-    the lane packing.  Returns ``(throughput, snapshots or None)`` per
-    job, in job order.
+    capture layers in ``cfgs`` and each job's probes are merged in probe
+    order, the serial sweep's run order, so each job's throughput and
+    ``{layer: snapshot}`` are byte-identical to its serial
+    ``saturation_throughput`` run whatever the lane packing.  Returns
+    ``(throughput, snapshots or None)`` per job, in job order.
     """
     check_ladder(rates)
-    ladders = [np.random.default_rng(job[3]) for job in jobs]
+    seeds = [
+        rung_seeds(np.random.default_rng(job[3]), len(rates)) for job in jobs
+    ]
+    searches = [LadderSearch(len(rates)) for _ in jobs]
     group_of = [
         (cache.selector.name, lane_vc_count(topology, cache, mech, config))
         for cache, mech, _traffic, _seed in jobs
     ]
-    rungs: List[List[dict]] = [[] for _ in jobs]
-    throughput = [0.0] * len(jobs)
-    done = [False] * len(jobs)
+    probes: List[List[dict]] = [[] for _ in jobs]
 
-    for rate in rates:
+    while True:
+        step = [search.next_rung() for search in searches]
         groups: Dict[tuple, List[int]] = {}
-        for i in range(len(jobs)):
-            if not done[i]:
+        for i, rung in enumerate(step):
+            if rung is not None:
                 groups.setdefault(group_of[i], []).append(i)
         if not groups:
             break
@@ -208,31 +218,35 @@ def run_batched_ladders(
             cache = jobs[members[0]][0]
             for s in range(0, len(members), config.batch_lanes):
                 pack = members[s : s + config.batch_lanes]
-                # The serial sweep draws one seed per executed rung from
-                # the ladder rng; replicate the draw exactly.
-                seeds = [
-                    np.random.default_rng(int(ladders[i].integers(2**63)))
+                runs = [
+                    (
+                        float(rates[step[i]]),
+                        np.random.default_rng(seeds[i][step[i]]),
+                    )
                     for i in pack
                 ]
                 if hb is not None:
-                    hb.task(f"{key[0]} rate={rate} x{len(pack)} lanes")
+                    hb.task(
+                        f"{key[0]} rates={sorted({r for r, _ in runs})} "
+                        f"x{len(pack)} lanes"
+                    )
                 if len(pack) == 1:
                     # A one-lane batch runs slower than the fast engine,
-                    # so a lone job's rung runs there, under the same
-                    # per-rung capture the batch publishes each lane in.
-                    i = pack[0]
+                    # so a lone job's probe runs there, under the same
+                    # per-probe capture the batch publishes each lane in.
+                    i, (rate, seed) = pack[0], runs[0]
                     with layers.capture(cfgs) as recs:
                         results = [
                             Simulator(
                                 topology, cache, jobs[i][1], jobs[i][2],
-                                float(rate), config=config, seed=seeds[0],
+                                rate, config=config, seed=seed,
                             ).run()
                         ]
                     snaps = [_snapshots(recs)]
                 else:
                     lanes = [
-                        BatchLane(jobs[i][1], jobs[i][2], float(rate), seed=sd)
-                        for i, sd in zip(pack, seeds)
+                        BatchLane(jobs[i][1], jobs[i][2], rate, seed=seed)
+                        for i, (rate, seed) in zip(pack, runs)
                     ]
                     batch = BatchSimulator(topology, cache, lanes, config)
                     results = batch.run(
@@ -246,23 +260,20 @@ def run_batched_ladders(
                         snaps.append(_snapshots(recs))
                 for i, result, snap in zip(pack, results, snaps):
                     if snap:
-                        rungs[i].append(snap)
-                    if result.saturated:
-                        done[i] = True
-                    else:
-                        throughput[i] = float(rate)
+                        probes[i].append(snap)
+                    searches[i].record(step[i], result.saturated)
                 if hb is not None:
                     hb.done()
 
     out = []
-    for i in range(len(jobs)):
-        snaps = None
-        if rungs[i]:
+    for search, snaps in zip(searches, probes):
+        merged = None
+        if snaps:
             with layers.capture(cfgs) as recs:
-                for rung in rungs[i]:  # rate order = the serial run order
-                    layers.merge(rung)
-            snaps = _snapshots(recs)
-        out.append((throughput[i], snaps))
+                for snap in snaps:  # probe order = the serial run order
+                    layers.merge(snap)
+            merged = _snapshots(recs)
+        out.append((search.answer(rates), merged))
     return out
 
 
@@ -272,10 +283,10 @@ def _snapshots(recs: Mapping[str, object]) -> Dict[str, dict]:
 
 
 def _run_cell_batch(chunk) -> List[CellResult]:
-    """Worker: rung-step a chunk of grid cells through the batched engine.
+    """Worker: step a chunk of grid cells' searches through the batched engine.
 
     Batchable cells go through :func:`run_batched_ladders` together,
-    which runs any rung with one lane left on the fast engine; cells the
+    which runs a probe packed alone on the fast engine; cells the
     batched engine cannot take (vanilla UGAL; every cell while the
     flight recorder is on) fall back to :func:`_run_cell` unchanged.
     Returns one ``_run_cell``-shaped result per cell, in chunk order.
@@ -406,7 +417,7 @@ def run_saturation_grid(
             ) as pool:
                 if batched:
                     # One contiguous chunk of cells per worker; a worker
-                    # rung-steps its own chunk, so pool workers and lane
+                    # steps its own chunk's searches, so pool workers and lane
                     # packing compose.  Cell seeds depend only on (master
                     # seed, cell index) and snapshots are per cell, so
                     # any chunking yields identical results.

@@ -332,11 +332,17 @@ def steady_state_report(
     that artifacts of older, convergence-driven runs carry).
     A run whose series never converge — or converge only after warmup
     ended — had an insufficient warmup: its measurement window includes
-    transient behaviour.
+    transient behaviour.  The test needs ``2 * check_windows`` windows
+    before it can call a series converged, so a run whose warmup ends
+    before its ``2 * check_windows``-th window does gets no verdict:
+    ``warmup_sufficient`` is ``None`` and the run counts in
+    ``n_undetermined``.
     """
+    m = 2 * int(check_windows)
     runs = []
     n_sufficient = 0
     n_converged = 0
+    n_undetermined = 0
     for r, meta in enumerate(snap.get("runs", [])):
         series = run_series(snap, r)
         t = detect_convergence(
@@ -344,13 +350,16 @@ def steady_state_report(
             check_windows, rel_tol,
         )
         warmup = int(meta.get("warmup_cycles_used", meta.get("warmup_cycles", 0)))
+        ends = series["start"] + series["cycles"]
         converged_at = None
         if t is not None and t >= 1:
-            ends = series["start"] + series["cycles"]
             converged_at = int(ends[t - 1])
-        sufficient = converged_at is not None and converged_at <= warmup
+        sufficient = None
+        if 0 < m <= len(ends) and int(ends[m - 1]) <= warmup:
+            sufficient = converged_at is not None and converged_at <= warmup
         n_converged += converged_at is not None
-        n_sufficient += sufficient
+        n_sufficient += sufficient is True
+        n_undetermined += sufficient is None
         runs.append(
             {
                 "run": r,
@@ -368,6 +377,7 @@ def steady_state_report(
         "n_runs": len(runs),
         "n_converged": n_converged,
         "n_warmup_sufficient": n_sufficient,
+        "n_undetermined": n_undetermined,
         "runs": runs,
     }
 

@@ -43,6 +43,7 @@ from repro.experiments.figs_netsim import _cell_throughputs
 from repro.netsim import SimConfig, Simulator, UniformTraffic, PatternTraffic
 from repro.netsim.batchcore import BatchLane, BatchSimulator
 from repro.netsim.fastcore import FastSimulator
+from repro.netsim import parallel
 from repro.netsim.parallel import run_saturation_grid
 from repro.obs import flowstats, layers, linkstate, metrics, timeseries, trace
 from repro.obs.trace import TraceAnalysis
@@ -143,6 +144,20 @@ def _assert_equivalent(lanes, knobs=CYCLES):
     return batch
 
 
+def _strip_engine_keys(snap):
+    """A metrics snapshot without timers and the engine-tier stamps."""
+    doc = {k: v for k, v in snap.items() if k != "timers"}
+    doc["counters"] = {
+        k: v for k, v in snap.get("counters", {}).items()
+        if not k.startswith("netsim.engine_runs/")
+    }
+    doc["gauges"] = {
+        k: v for k, v in snap.get("gauges", {}).items()
+        if not k.startswith("netsim.cycles_per_sec/")
+    }
+    return doc
+
+
 class TestLaneEquivalence:
     @pytest.mark.parametrize("group", sorted(GROUPS))
     def test_mechanism_group(self, group):
@@ -201,26 +216,14 @@ class TestTelemetryEquivalence:
                 path.with_suffix(".txt").write_text(repr(doc))
         return art
 
-    def _strip_engine_keys(self, snap):
-        doc = {k: v for k, v in snap.items() if k != "timers"}
-        doc["counters"] = {
-            k: v for k, v in snap.get("counters", {}).items()
-            if not k.startswith("netsim.engine_runs/")
-        }
-        doc["gauges"] = {
-            k: v for k, v in snap.get("gauges", {}).items()
-            if not k.startswith("netsim.cycles_per_sec/")
-        }
-        return doc
-
     def test_metrics_snapshots_identical(self):
         lanes = _lane_specs("ksp", _topo().n_hosts)
         with metrics.capture() as reg:
             _run_serial(lanes)
-            serial = self._strip_engine_keys(reg.snapshot())
+            serial = _strip_engine_keys(reg.snapshot())
         with metrics.capture() as reg:
             _run_batch(lanes)
-            batched = self._strip_engine_keys(reg.snapshot())
+            batched = _strip_engine_keys(reg.snapshot())
         if serial != batched:  # pragma: no cover - failure path
             art = self._dump("metrics", serial, batched)
             pytest.fail(f"metrics snapshots diverged (dumped under {art})")
@@ -262,7 +265,7 @@ class TestTelemetryEquivalence:
         for i in range(len(lanes)):
             with metrics.capture() as reg:
                 batch.publish_lane(i)
-                splits.append(self._strip_engine_keys(reg.snapshot()))
+                splits.append(_strip_engine_keys(reg.snapshot()))
         topo = _topo()
         paths = PathCache(topo, "redksp", k=4, seed=1)
         cfg = SimConfig(**CYCLES, engine="fast")
@@ -273,7 +276,7 @@ class TestTelemetryEquivalence:
                     lane.injection_rate, cfg, seed=lane.seed,
                 )
                 sim.run()
-                solo = self._strip_engine_keys(reg.snapshot())
+                solo = _strip_engine_keys(reg.snapshot())
             assert splits[i] == solo, f"lane {i} split diverged"
 
 
@@ -321,7 +324,8 @@ class TestFigureCellLanes:
     rate-minor runs (the serial sweep order), not rate-major ones.
     """
 
-    def _cell(self, batch_lanes, tmp_path):
+    def _cell(self, batch_lanes, tmp_path, mechanism="ksp_adaptive",
+              rates=(0.3, 0.6, 0.9), **knobs):
         topo = _topo()
         patterns = [random_permutation(topo.n_hosts, seed=s) for s in (5, 6, 7)]
         seeds = [
@@ -334,9 +338,9 @@ class TestFigureCellLanes:
         flowstats.enable()
         try:
             throughputs = _cell_throughputs(
-                topo, PathCache(topo, "redksp", k=4, seed=1), "ksp_adaptive",
-                patterns, (0.3, 0.6, 0.9),
-                SimConfig(**CYCLES, batch_lanes=batch_lanes), seeds,
+                topo, PathCache(topo, "redksp", k=4, seed=1), mechanism,
+                patterns, rates,
+                SimConfig(**CYCLES, **knobs, batch_lanes=batch_lanes), seeds,
             )
             out = tmp_path / f"lanes{batch_lanes}"
             saved = {
@@ -345,19 +349,46 @@ class TestFigureCellLanes:
                 "flowstats": flowstats.save_flowstats(out / "c.fs.npz"),
             }
             n_runs = timeseries.snapshot()["n_runs"]
+            snap = _strip_engine_keys(metrics.snapshot())
         finally:
             layers.disable_all()
         digests = {
             name: hashlib.sha256(path.read_bytes()).hexdigest()
             for name, path in saved.items()
         }
-        return throughputs, n_runs, digests
+        return throughputs, n_runs, digests, snap
 
     def test_multi_pattern_cell_artifacts_identical(self, tmp_path):
         serial = self._cell(1, tmp_path)
         batched = self._cell(8, tmp_path)
         assert serial[1] > len(serial[0])  # some pattern ran 2+ rungs
         assert batched[0] == serial[0]
+        diverged = [n for n, d in serial[2].items() if batched[2][n] != d]
+        assert diverged == []
+
+    def test_mixed_rate_packs_match_serial(self, tmp_path, monkeypatch):
+        # On this 10-rung ladder the three patterns first saturate at
+        # rungs 8, 7 and 4, so their searches part after the probe of
+        # rung 7 and later steps pack lanes probing different rates.
+        knobs = dict(
+            mechanism="ksp_ugal", rates=tuple(i / 10 for i in range(1, 11)),
+            saturation_latency=35.0,
+        )
+        serial = self._cell(1, tmp_path, **knobs)
+        packs = []
+        real = parallel.BatchSimulator
+
+        def recording(topology, cache, lanes, config):
+            packs.append([lane.injection_rate for lane in lanes])
+            return real(topology, cache, lanes, config)
+
+        monkeypatch.setattr(parallel, "BatchSimulator", recording)
+        batched = self._cell(8, tmp_path, **knobs)
+        assert any(len(set(rates)) > 1 for rates in packs)
+        assert serial[0] == [0.8, 0.7, 0.4]
+        assert batched[0] == serial[0]
+        assert batched[1] == serial[1]
+        assert batched[3] == serial[3]
         diverged = [n for n, d in serial[2].items() if batched[2][n] != d]
         assert diverged == []
 

@@ -1,6 +1,7 @@
 """Tests for the process-parallel sweep grid (and pickling support)."""
 
 import dataclasses
+import hashlib
 import pickle
 
 import numpy as np
@@ -10,7 +11,7 @@ from repro import Jellyfish, PathCache
 from repro.core.path import Path, PathSet
 from repro.errors import ConfigurationError
 from repro.netsim import SimConfig, parallel, run_saturation_grid
-from repro.obs import metrics
+from repro.obs import flowstats, layers, linkstate, metrics
 from repro.obs import timeseries as obs_timeseries
 from repro.traffic import random_permutation, shift
 
@@ -102,6 +103,20 @@ class TestGrid:
                 run_saturation_grid(
                     topo, ["ksp"], ["random"], pats, rates=(0.3, 0.1),
                     config=dataclasses.replace(TINY, batch_lanes=lanes),
+                )
+
+
+    @pytest.mark.parametrize("rates", [(0.1, 1.5), (0.1, float("nan"))])
+    def test_every_rung_is_checked(self, topo, rates):
+        # With every run saturated, both tiers read 0.0 from the first
+        # rung and never reached the bad one.
+        pats = [random_permutation(topo.n_hosts, seed=s) for s in (0, 1)]
+        config = dataclasses.replace(TINY, saturation_latency=1.0)
+        for lanes in (1, 4):
+            with pytest.raises(ConfigurationError, match="finite"):
+                run_saturation_grid(
+                    topo, ["ksp"], ["random"], pats, rates=rates,
+                    config=dataclasses.replace(config, batch_lanes=lanes),
                 )
 
 
@@ -219,3 +234,59 @@ class TestGridBatching:
         assert inline[0] == pooled[0]
         assert inline[1] == pooled[1]
         _assert_ts_equal(inline[2], pooled[2])
+
+
+class TestThreeRungGrid:
+    """A three-rung batched grid runs exactly the ladder's rungs.
+
+    The e2e ``grid_forensics`` shape at a short budget: on three rungs
+    the search probes the ladder's rungs in ladder order, so the runs,
+    their lane packing and the saved artifacts are the climb's.  The
+    pins were recorded from the rung-by-rung climb; a search that probes
+    0.7 first (plain bisection) runs other rungs in another order.
+    """
+
+    THROUGHPUT = {
+        ("redksp", "ksp_adaptive"): 0.5,
+        ("redksp", "ksp_ugal"): 0.6999999999999998,
+    }
+    RUNS = 14
+    SHA = {
+        "timeseries": "026d8a76b05c91cb5b9f0022f6130a328ac4a9b4bc6157d0917c73ba23aab29b",
+        "linkstate": "c97fc07b9783a9536ae6444f4e6f0206f31a7399c5a9820a92c89916e1166ca7",
+        "flowstats": "f75983272c2f267ce28884ab770d149021865d08b90ddf944279a712e485bed9",
+    }
+
+    def test_grid_is_pinned(self, topo, tmp_path):
+        pats = [random_permutation(topo.n_hosts, seed=s) for s in range(3)]
+        config = SimConfig(
+            warmup_cycles=60, sample_cycles=60, n_samples=2,
+            saturation_latency=40.0, batch_lanes=8,
+        )
+        obs_timeseries.enable(window=30)
+        linkstate.enable(window=30)
+        flowstats.enable()
+        try:
+            grid = run_saturation_grid(
+                topo, ["redksp"], ["ksp_adaptive", "ksp_ugal"], pats,
+                k=4, rates=(0.5, 0.7, 0.9), config=config, seed=0,
+            )
+            saved = {
+                "timeseries": obs_timeseries.save_timeseries(tmp_path / "g.ts.npz"),
+                "linkstate": linkstate.save_linkstate(tmp_path / "g.ls.npz"),
+                "flowstats": flowstats.save_flowstats(tmp_path / "g.fs.npz"),
+            }
+            runs = {
+                obs_timeseries.snapshot()["n_runs"],
+                linkstate.snapshot()["n_runs"],
+                flowstats.snapshot()["n_runs"],
+            }
+        finally:
+            layers.disable_all()
+        assert grid == self.THROUGHPUT
+        assert runs == {self.RUNS}
+        digests = {
+            name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in saved.items()
+        }
+        assert digests == self.SHA

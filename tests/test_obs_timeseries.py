@@ -314,6 +314,29 @@ class TestSteadyDetection:
         assert not verdicts[bad]["warmup_sufficient"]
         assert report["n_warmup_sufficient"] == 1
 
+    def test_steady_state_report_short_warmup_is_undetermined(self):
+        # The test needs 2 x 4 windows before it can call a series
+        # converged, so a flat series in 100-cycle windows gets no verdict
+        # after a 200-cycle warmup and is judged after an 800-cycle one.
+        rec = TimeseriesRecorder(window=100)
+        short = rec.begin_run(n_hosts=1, warmup_cycles=200)
+        long = rec.begin_run(n_hosts=1, warmup_cycles=800)
+        for run in (short, long):
+            rec._next_index = 0
+            for i in range(10):
+                rec.record_window(
+                    run, start=100 * i, cycles=100, injected=5, ejected=5,
+                    lat_sum=100, credit_stalls=0, forwarded=5, occupancy=0,
+                )
+        report = steady_state_report(rec.snapshot())
+        verdicts = {r["run"]: r for r in report["runs"]}
+        assert verdicts[short]["converged_at_cycle"] == 800
+        assert verdicts[short]["warmup_sufficient"] is None
+        assert verdicts[long]["warmup_sufficient"] is True
+        assert report["n_undetermined"] == 1
+        assert report["n_warmup_sufficient"] == 1
+        assert report["n_converged"] == 2
+
 
 # -------------------------------------------- parallel == serial (pin)
 
