@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from repro import Jellyfish, PathCache
+from repro.appsim import build_workload, run_flows
 from repro.appsim.fairshare import maxmin_rates
 from repro.core.dijkstra import bfs_levels, shortest_path
 from repro.core.yen import k_shortest_paths
-from repro.experiments.presets import netsim_preset
+from repro.experiments.presets import netsim_preset, stencil_preset
+from repro.experiments.tables_stencil import APPS
 from repro.netsim import (
     PatternTraffic,
     SimConfig,
@@ -30,6 +32,8 @@ from repro.obs import trace
 from repro.topology.metrics import average_shortest_path_length
 from repro.topology.rrg import random_regular_graph
 from repro.traffic import random_permutation, random_shift
+from repro.traffic.mapping import apply_mapping, linear_mapping
+from repro.traffic.stencil import stencil_messages
 from repro.utils.rng import spawn_rngs
 
 
@@ -144,6 +148,74 @@ def test_perf_fairshare_waterfill(benchmark):
 
     rates = benchmark(maxmin_rates, flows, 10.0, 500)
     assert (rates > 0).all()
+
+
+@pytest.fixture(scope="module")
+def stencil_cell():
+    """The largest small Table V cell: 3dnndiag, rEDKSP, linear mapping,
+    seed 0, seeded as ``run_table`` seeds it."""
+    preset = stencil_preset("small")
+    spec = preset["topo"]
+    topo_rng, map_rng, scheme_rng, *_ = spawn_rngs(0, 2 + len(preset["schemes"]))
+    topo = Jellyfish(spec.n, spec.x, spec.y, seed=topo_rng)
+    app_seed = [int(map_rng.integers(2**31)) for _ in APPS][APPS.index("3dnndiag")]
+    cache = PathCache(topo, "redksp", k=preset["k"], seed=int(scheme_rng.integers(2**31)))
+    msgs = apply_mapping(
+        stencil_messages("3dnndiag", topo.n_hosts, preset["total_bytes"]),
+        linear_mapping(topo.n_hosts, topo.n_hosts),
+    )
+    flows = build_workload(
+        topo, msgs, cache, mechanism="ksp_adaptive", chunks=preset["chunks"],
+        seed=np.random.default_rng(app_seed),
+    )
+    cell = dict(flows=flows, capacity=preset["link_bandwidth"], n_links=topo.n_links)
+    completion = _run_flows_cold(**cell)
+    # The cell's entry in ``run_table5("small", 0).data``.
+    assert completion.max() * 1e3 == 0.8581730769230774
+    return cell, completion
+
+
+def _run_flows_cold(flows, capacity, n_links):
+    """``run_flows``' event arithmetic, solving every event from level 0
+    with the one-shot ``maxmin_rates``: the solver before warm starts."""
+    remaining = np.asarray([f.nbytes for f in flows], dtype=np.float64)
+    completion = np.zeros(len(flows))
+    alive = np.arange(len(flows))
+    t = 0.0
+    while alive.size:
+        rates = maxmin_rates([flows[i].links for i in alive.tolist()], capacity, n_links)
+        ttc = remaining[alive] / rates
+        dt = float(ttc.min())
+        t += dt
+        done = ttc <= dt * (1 + 1e-9)
+        completion[alive[done]] = t
+        alive = alive[~done]
+        remaining[alive] -= rates[~done] * dt
+    return completion
+
+
+def test_perf_run_flows_cold(benchmark, stencil_cell):
+    """The Table V cell with a cold solve at every completion event.
+
+    The baseline row of the warm-start gate: ``compare.py
+    --require-speedup`` divides this row's mean by ``test_perf_run_flows``'
+    and the CI perf-smoke job fails below the gated ratio.
+    """
+    cell, completion = stencil_cell
+    got = benchmark.pedantic(
+        lambda: _run_flows_cold(**cell), rounds=3, iterations=1, warmup_rounds=1
+    )
+    assert np.array_equal(got, completion)
+
+
+def test_perf_run_flows(benchmark, stencil_cell):
+    """The same cell through ``run_flows``, each solve resuming from the
+    previous event's."""
+    cell, completion = stencil_cell
+    result = benchmark.pedantic(
+        lambda: run_flows(**cell), rounds=3, iterations=1, warmup_rounds=1
+    )
+    assert np.array_equal(result.flow_completion, completion)
 
 
 @pytest.mark.obs

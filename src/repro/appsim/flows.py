@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -18,7 +19,8 @@ class FlowSpec:
 
     A message may be realised as several flows (sub-flows over different
     paths, or adaptive chunks); ``message_id`` groups them so completion
-    statistics can be reported per message.
+    statistics can be reported per message.  ``nbytes`` must be finite and
+    positive.
     """
 
     src_host: int
@@ -29,8 +31,9 @@ class FlowSpec:
     path: Tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if self.nbytes <= 0:
+        if not (math.isfinite(self.nbytes) and self.nbytes > 0):
             raise SimulationError(
-                f"flow {self.src_host}->{self.dst_host} has {self.nbytes} bytes"
+                f"flow {self.src_host}->{self.dst_host} has {self.nbytes} bytes; "
+                "need a finite positive count"
             )
         self.links = np.asarray(self.links, dtype=np.int64)

@@ -19,7 +19,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.appsim.fairshare import maxmin_rates
+from repro.appsim.fairshare import FillRecord, maxmin_rates
 from repro.appsim.flows import FlowSpec
 from repro.errors import SimulationError
 
@@ -52,22 +52,36 @@ def run_flows(
     capacity: float | np.ndarray,
     n_links: int | None = None,
 ) -> AppSimResult:
-    """Simulate ``flows`` sharing ``capacity`` until all complete."""
+    """Simulate ``flows`` sharing ``capacity`` until all complete.
+
+    Each completion event solves max-min rates through this module's
+    ``maxmin_rates``, passing the alive flows' link arrays and this call's
+    :class:`~repro.appsim.fairshare.FillRecord`.  The record keeps the
+    previous event's fill levels; retiring the completed flows cuts it at
+    the first level at which one of them froze.  The completed flows could
+    not have changed the levels below that cut (a flow crosses no link that
+    saturated before its own level), so the solve replays them with the
+    same float operations and water-fills on from the cut: every rate, and
+    so every completion time, is bit-identical to solving each event from
+    scratch (see :mod:`repro.appsim.fairshare`).
+    """
     if not flows:
         raise SimulationError("no flows to simulate")
     n = len(flows)
     remaining = np.asarray([f.nbytes for f in flows], dtype=np.float64)
+    links = [f.links for f in flows]
     total_bytes = float(remaining.sum())
     completion = np.zeros(n)
     alive = np.arange(n)
     t = 0.0
+    record = FillRecord()
 
     guard = 0
     while alive.size:
         guard += 1
         if guard > n + 1:
             raise SimulationError("flow completion loop failed to converge")
-        rates = maxmin_rates([flows[i].links for i in alive.tolist()], capacity, n_links)
+        rates = maxmin_rates([links[i] for i in alive.tolist()], capacity, n_links, record)
         if not (rates > 0).all():
             raise SimulationError("max-min returned a zero rate")
         ttc = remaining[alive] / rates  # inf-rate flows finish instantly
@@ -77,6 +91,7 @@ def run_flows(
         if not done.any():  # pragma: no cover - tolerance net
             raise SimulationError("no flow completed in an event step")
         completion[alive[done]] = t
+        record.retire(done)
         live = ~done
         alive = alive[live]
         remaining[alive] -= rates[live] * dt

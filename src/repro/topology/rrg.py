@@ -43,15 +43,18 @@ def _attempt(n: int, degree: int, rng) -> List[Set[int]] | None:
 
     stuck_rounds = 0
     while free:
-        candidates = list(free)
         # Random pair join phase: try a bounded number of random picks before
-        # declaring the phase stuck.
+        # declaring the phase stuck.  ``free`` only changes on a join, so one
+        # snapshot serves the round.  The draws fix every topology: ``choice``
+        # draws indices from the population size alone, so two indices into
+        # the snapshot pick the pair that choosing from it directly would.
+        members = list(free)
         joined = False
-        for _ in range(4 * len(candidates) + 16):
-            if len(free) < 2:
+        for _ in range(4 * len(members) + 16):
+            if len(members) < 2:
                 break
-            u, v = rng.choice(list(free), size=2, replace=False)
-            u, v = int(u), int(v)
+            i, j = rng.choice(len(members), size=2, replace=False)
+            u, v = members[i], members[j]
             if v not in adj[u]:
                 connect(u, v)
                 joined = True

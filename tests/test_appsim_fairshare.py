@@ -4,11 +4,11 @@ from typing import List
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import Jellyfish, PathCache
-from repro.appsim import build_workload, run_flows
-from repro.appsim.fairshare import maxmin_rates
+from repro.appsim import FlowSpec, build_workload, fairshare, run_flows
+from repro.appsim.fairshare import FillRecord, maxmin_rates
 from repro.errors import SimulationError
 from repro.traffic.mapping import apply_mapping, linear_mapping
 from repro.traffic.stencil import stencil_messages
@@ -96,6 +96,17 @@ class TestEdgeCases:
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(SimulationError, match="positive"):
             maxmin_rates([arr(0)], np.array([0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_scalar_capacity_rejected(self, bad):
+        with pytest.raises(SimulationError, match=f"finite and positive, got {bad}"):
+            maxmin_rates([arr(0)], bad, n_links=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_link_capacity_rejected(self, bad):
+        # An inf link is rejected too, not read as unconstrained.
+        with pytest.raises(SimulationError, match=f"link 1 has {bad}"):
+            maxmin_rates([arr(0), arr(1)], np.array([1.0, bad]))
 
     def test_many_flows_one_link_exact(self):
         n = 1000
@@ -249,3 +260,119 @@ class TestMatchesReference:
         want = _reference_run_flows(flows, 20e9, topo.n_links)
         assert np.array_equal(got.flow_completion, want)
         assert got.makespan == want.max()
+
+
+def _flows(flow_links, nbytes):
+    return [FlowSpec(0, 1, b, links, i) for i, (links, b) in enumerate(zip(flow_links, nbytes))]
+
+
+def _assert_run_matches_reference(flows, capacity, n_links=None):
+    got = run_flows(flows, capacity, n_links)
+    want = _reference_run_flows(flows, capacity, n_links)
+    assert np.array_equal(got.flow_completion, want)
+
+
+@st.composite
+def _event_instances(draw):
+    """Event-loop inputs: up to 60 of ``_instances``' flows, with byte
+    counts from a small set so that several flows finish in one event."""
+    flow_links, capacity, n_links = draw(_instances())
+    flow_links = flow_links[: draw(st.integers(1, 60))]
+    assume(flow_links)
+    sizes = draw(st.sampled_from([(1.0,), (1.0, 2.0), (1.0, 2.0, 3.0, 8.0), (0.25, 1.0, 16.0)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nbytes = rng.choice(sizes, size=len(flow_links))
+    return _flows(flow_links, nbytes), capacity, n_links
+
+
+def _solve_and_retire(flow_links, capacity, n_links, done):
+    """One solve on a fresh record, then ``retire(done)``."""
+    record = FillRecord()
+    maxmin_rates(flow_links, capacity, n_links, record)
+    levels = len(record.steps)
+    record.retire(np.asarray(done))
+    return record, levels
+
+
+class TestWarmStart:
+    """Each solve of ``run_flows`` resumes from the previous event's record;
+    the completion times must stay those of the cold per-event loop."""
+
+    @given(inst=_event_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_event_loop_bit_identical(self, inst):
+        _assert_run_matches_reference(*inst)
+
+    def test_only_linkless_flows_finish(self):
+        # Nothing is cut: the next solve replays every level and fills none.
+        links = [arr(), arr(0, 1), arr(0), arr(1), arr()]
+        cap = np.array([3.0, 5.0])
+        record, levels = _solve_and_retire(links, cap, None, [True, False, False, False, True])
+        steps = list(record.steps)
+        assert levels == len(steps) == 2
+        rates = maxmin_rates(links[1:4], cap, None, record)
+        assert record.steps == steps
+        assert np.array_equal(rates, maxmin_rates(links[1:4], cap))
+        _assert_run_matches_reference(_flows(links, [1.0, 4.0, 3.0, 9.0, 2.0]), cap)
+
+    def test_finished_flow_froze_at_level_zero(self):
+        # Flow 0 froze at level 0, so the record is cut to nothing and the
+        # next solve runs from level 0.
+        links = [arr(0), arr(0, 1), arr(1), arr(2)]
+        cap = np.array([2.0, 9.0, 10.0])
+        record, levels = _solve_and_retire(links, cap, None, [True, False, False, False])
+        assert levels == 3 and record.steps == []
+        rates = maxmin_rates(links[1:], cap, None, record)
+        assert np.array_equal(rates, maxmin_rates(links[1:], cap))
+        _assert_run_matches_reference(_flows(links, [1.0, 6.0, 20.0, 7.0]), cap)
+
+    def test_finished_flow_was_last_on_its_link(self):
+        # Level 0 freezes flow 2 at rate 1 (link 2), level 1 flow 0 at 4
+        # (link 1), level 2 flow 1 at 6 (link 0).  Flow 0 finishes first and
+        # was the last flow on link 1; level 0 is replayed.
+        links = [arr(0, 1), arr(0), arr(2)]
+        cap = np.array([10.0, 4.0, 1.0])
+        assert maxmin_rates(links, cap).tolist() == [4.0, 6.0, 1.0]
+        record, levels = _solve_and_retire(links, cap, None, [True, False, False])
+        assert levels == 3 and record.steps == [1.0]
+        rates = maxmin_rates(links[1:], cap, None, record)
+        assert rates.tolist() == [10.0, 1.0]
+        assert np.array_equal(rates, maxmin_rates(links[1:], cap))
+        _assert_run_matches_reference(_flows(links, [4.0, 100.0, 100.0]), cap)
+
+    def test_replay_in_many_blocks(self, monkeypatch):
+        # With the smallest block budget, 6 of this run's 11 replays take
+        # two or three blocks.
+        monkeypatch.setattr(fairshare, "_BLOCK_CELLS", 1)
+        rng = np.random.default_rng(7)
+        n_links = 60
+        links = [rng.integers(0, n_links, size=int(rng.integers(1, 4))) for _ in range(40)]
+        cap = rng.integers(1, 4, size=n_links).astype(np.float64)
+        _assert_run_matches_reference(_flows(links, rng.choice([1.0, 2.0, 3.0], size=40)), cap)
+
+    def test_crowded_link_is_not_resumed_from(self):
+        # 10,000 flows share link 0, beyond ``_EXACT_COUNT``.  Its step
+        # cap0 / 10000 leaves one ulp of cap0 on it, above the saturation
+        # threshold, so link 0 sets level 0's step without saturating;
+        # flow 0 saturates link 1 (one ulp above that step) and freezes at
+        # level 0.  Once a link-0 flow finishes, link 1 sets level 0's step
+        # instead, so the record must be cut to level 0.
+        n = 10_000
+        cap0 = 5881805419446.382
+        step = cap0 / n
+        assert cap0 - n * step > fairshare._EPS * step + fairshare._EPS
+        cap = np.array([cap0, np.nextafter(step, np.inf)])
+        links = [arr(1)] + [arr(0)] * n
+        done = np.zeros(n + 1, dtype=bool)
+        done[1] = True
+        record, levels = _solve_and_retire(links, cap, None, done)
+        assert levels == 2 and record.barrier == 0 and record.steps == []
+        rates = maxmin_rates(links[:1] + links[2:], cap, None, record)
+        assert rates[0] == cap[1]
+        assert np.array_equal(rates, maxmin_rates(links[:1] + links[2:], cap))
+        _assert_run_matches_reference(_flows(links, [1e9, 1e6] + [1e9] * (n - 1)), cap)
+
+    def test_flow_count_must_match_record(self):
+        record, _ = _solve_and_retire([arr(0), arr(0)], 1.0, 1, [True, False])
+        with pytest.raises(SimulationError, match="2 flows passed, but the record holds 1"):
+            maxmin_rates([arr(0), arr(0)], 1.0, 1, record)

@@ -27,6 +27,11 @@ class TestFlowSpec:
         with pytest.raises(SimulationError):
             FlowSpec(0, 1, -5.0, [1], message_id=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64("nan")])
+    def test_nonfinite_bytes_rejected(self, bad):
+        with pytest.raises(SimulationError, match=f"has {bad} bytes"):
+            FlowSpec(0, 1, bad, [1], message_id=0)
+
     def test_path_default_empty(self):
         f = FlowSpec(0, 1, 1.0, [1], message_id=0)
         assert f.path == ()

@@ -175,6 +175,16 @@ class TestStencilTime:
         b = stencil_time(topo, "2dnn", "ksp", total_bytes=2e6, seed=0)
         assert b.makespan > a.makespan
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_bytes_rejected(self, topo, bad):
+        with pytest.raises(SimulationError, match=f"has {bad} bytes"):
+            stencil_time(topo, "2dnn", "redksp", k=4, total_bytes=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_bandwidth_rejected(self, topo, bad):
+        with pytest.raises(SimulationError, match=f"finite and positive, got {bad}"):
+            stencil_time(topo, "2dnn", "redksp", k=4, link_bandwidth=bad)
+
     def test_bandwidth_scales_time(self, topo):
         a = stencil_time(topo, "2dnn", "ksp", link_bandwidth=20e9, seed=0)
         b = stencil_time(topo, "2dnn", "ksp", link_bandwidth=10e9, seed=0)
