@@ -7,7 +7,6 @@ saturation throughput over several pattern instances.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List
 
 import numpy as np
@@ -15,11 +14,13 @@ import numpy as np
 from repro.core import PathCache
 from repro.experiments.base import ExperimentResult
 from repro.experiments.presets import netsim_preset
-from repro.netsim import PatternTraffic, saturation_throughput
-from repro.netsim.batchcore import BATCHABLE_MECHANISMS
-from repro.netsim.parallel import run_batched_ladders
+from repro.netsim import PatternTraffic
+# Kept bound here, though the cells call ``search_saturation``: the e2e
+# benchmark's tracer (``benchmarks/e2e/trace.py``) wraps
+# ``saturation_throughput`` by this module's name.
+from repro.netsim import saturation_throughput  # noqa: F401
+from repro.netsim.sweep import search_saturation
 from repro.obs import layers, log, metrics, topology_hash
-from repro.obs import trace as obs_trace
 from repro.topology import Jellyfish
 from repro.traffic import random_permutation, random_shift
 from repro.utils.rng import SeedLike, spawn_rngs
@@ -36,65 +37,37 @@ def _cell_throughputs(
 ) -> List[float]:
     """Per-pattern saturation throughput of one (scheme, mechanism) cell.
 
-    Each pattern's rung is found by the ladder search of
-    :func:`~repro.netsim.sweep.saturation_throughput`.  With
-    ``config.batch_lanes > 1``, the cell's patterns search the ladder in
-    lock-step through the batched engine
-    (:func:`~repro.netsim.parallel.run_batched_ladders`, the grid's own
-    search stepper, whose lanes may probe different rates and which runs
-    a probe packed alone on the fast engine), and each pattern's
-    telemetry is merged home in serial (pattern-major, probe-minor)
-    order afterwards — so throughputs and run artifacts are
-    byte-identical to the per-pattern serial sweeps.
-    Mechanisms the batched engine cannot take (vanilla UGAL) stay serial,
-    as does every cell while the flight recorder is on.
+    The cell's patterns are the jobs of one
+    :func:`~repro.netsim.sweep.search_saturation` call: with
+    ``config.batch_lanes > 1`` they search the ladder in lock-step as
+    lanes of the batched engine, whose lanes may probe different rates.
+    Each pattern's telemetry is merged home in pattern-major, probe-minor
+    order, so throughputs and run artifacts are those of searching each
+    pattern alone whatever the lane width.
     """
-    batched = (
-        config.batch_lanes > 1
-        and mechanism in BATCHABLE_MECHANISMS
-        and not obs_trace.enabled()
-    )
-    if not batched:
-        return [
-            saturation_throughput(
-                topo, cache, mechanism, PatternTraffic(pat),
-                rates=rates, config=config, seed=cell_seed,
-            )[0]
-            for pat, cell_seed in zip(patterns, cell_seeds)
-        ]
     jobs = [
         (cache, mechanism, PatternTraffic(pat), cell_seed)
         for pat, cell_seed in zip(patterns, cell_seeds)
     ]
-    results = run_batched_ladders(
+    results = search_saturation(
         topo, jobs, rates, config, layers.active_configs()
     )
-    for _, snaps in results:
+    for _, _, snaps in results:
         layers.merge(snaps)
-    return [th for th, _ in results]
+    return [th for th, _, _ in results]
 
 
-def run_fig(
-    figure: int,
-    scale: str = "small",
-    seed: SeedLike = 0,
-    batch_lanes: int = 1,
-) -> ExperimentResult:
+def run_fig(figure: int, scale: str = "small", seed: SeedLike = 0) -> ExperimentResult:
     """One saturation-throughput figure (7-10).
 
     Every run uses the preset's fixed cycle budget, and each cell's
     throughput is the last rate of the preset's ladder before saturation,
-    found by a search that probes a few rungs.  ``batch_lanes=N`` runs
-    each cell's patterns as lock-step lanes of the batched engine; a
-    probe packed alone runs on the fast engine (results byte-identical
-    either way).
+    found by a search that probes a few rungs.  The preset's lane width
+    (``config.batch_lanes``) packs each cell's patterns as lock-step
+    lanes of the batched engine; a probe packed alone runs on the fast
+    engine (results byte-identical either way).
     """
     preset = netsim_preset(scale, figure)
-    if batch_lanes > 1:
-        preset = dict(preset)
-        preset["config"] = dataclasses.replace(
-            preset["config"], batch_lanes=batch_lanes
-        )
     spec = preset["topo"]
     shift_traffic = figure in (9, 10)
     topo_rng, *pat_rngs = spawn_rngs(seed, preset["n_patterns"] + 1)
@@ -153,29 +126,21 @@ def run_fig(
     )
 
 
-def run_fig7(
-    scale: str = "small", seed: SeedLike = 0, batch_lanes: int = 1
-) -> ExperimentResult:
+def run_fig7(scale: str = "small", seed: SeedLike = 0) -> ExperimentResult:
     """Figure 7: permutations on the small topology."""
-    return run_fig(7, scale, seed, batch_lanes=batch_lanes)
+    return run_fig(7, scale, seed)
 
 
-def run_fig8(
-    scale: str = "small", seed: SeedLike = 0, batch_lanes: int = 1
-) -> ExperimentResult:
+def run_fig8(scale: str = "small", seed: SeedLike = 0) -> ExperimentResult:
     """Figure 8: permutations on the medium topology."""
-    return run_fig(8, scale, seed, batch_lanes=batch_lanes)
+    return run_fig(8, scale, seed)
 
 
-def run_fig9(
-    scale: str = "small", seed: SeedLike = 0, batch_lanes: int = 1
-) -> ExperimentResult:
+def run_fig9(scale: str = "small", seed: SeedLike = 0) -> ExperimentResult:
     """Figure 9: shifts on the small topology."""
-    return run_fig(9, scale, seed, batch_lanes=batch_lanes)
+    return run_fig(9, scale, seed)
 
 
-def run_fig10(
-    scale: str = "small", seed: SeedLike = 0, batch_lanes: int = 1
-) -> ExperimentResult:
+def run_fig10(scale: str = "small", seed: SeedLike = 0) -> ExperimentResult:
     """Figure 10: shifts on the medium topology."""
-    return run_fig(10, scale, seed, batch_lanes=batch_lanes)
+    return run_fig(10, scale, seed)

@@ -117,7 +117,11 @@ def model_preset(scale: str, figure: int) -> dict:
 
 
 def netsim_preset(scale: str, figure: int) -> dict:
-    """Figures 7-10: topology, pattern count, rate grid, sim config, k."""
+    """Figures 7-10: topology, pattern count, rate grid, sim config, k.
+
+    The sim config carries the lane width of each cell's saturation
+    searches (``SimConfig.batch_lanes``).
+    """
     _check_scale(scale)
     trio = topo_trio(scale)
     topo = trio[0] if figure in (7, 9) else trio[1]
@@ -131,13 +135,15 @@ def netsim_preset(scale: str, figure: int) -> dict:
             "schemes": ("ksp", "redksp"),
             "mechanisms": ("random", "round_robin", "ugal", "ksp_ugal", "ksp_adaptive"),
         }
+    # A cell's patterns search as lanes of one batch, 8 at a time; the
+    # small presets have one pattern per cell, so nothing to pack.
     if scale == "medium":
         return {
             "topo": topo,
             "k": 8,
             "n_patterns": 3,
             "rates": tuple(round(0.05 * i, 2) for i in range(1, 21)),
-            "config": SimConfig(),
+            "config": SimConfig(batch_lanes=8),
             "schemes": ("ksp", "rksp", "edksp", "redksp"),
             "mechanisms": ("random", "round_robin", "ugal", "ksp_ugal", "ksp_adaptive"),
         }
@@ -146,7 +152,7 @@ def netsim_preset(scale: str, figure: int) -> dict:
         "k": 8,
         "n_patterns": 10,
         "rates": tuple(round(0.05 * i, 2) for i in range(1, 21)),
-        "config": SimConfig(),
+        "config": SimConfig(batch_lanes=8),
         "schemes": ("ksp", "rksp", "edksp", "redksp"),
         "mechanisms": ("random", "round_robin", "ugal", "ksp_ugal", "ksp_adaptive"),
     }

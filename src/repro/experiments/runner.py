@@ -77,18 +77,16 @@ def run_experiment(
     seed: int = 0,
     processes: int = 1,
     path_store=None,
-    batch_lanes: int = 1,
     pairs_on_demand=None,
 ) -> ExperimentResult:
     """Run one experiment by id (``"table1"`` ... ``"fig13"``).
 
     ``processes`` and ``path_store`` feed the fast path-table pipeline
-    (parallel precompute + persistent tables); ``batch_lanes`` packs
-    independent simulator runs into the batched multi-lane engine;
-    ``pairs_on_demand`` caps per-topology path precompute at a fixed pair
-    budget for the drivers that sample pairs.  Each keyword is forwarded
-    only to drivers that accept it; for all but ``pairs_on_demand``,
-    results are identical either way.
+    (parallel precompute + persistent tables); ``pairs_on_demand`` caps
+    per-topology path precompute at a fixed pair budget for the drivers
+    that sample pairs.  Each keyword is forwarded only to drivers that
+    accept it; for all but ``pairs_on_demand``, results are identical
+    either way.
     """
     try:
         driver = EXPERIMENTS[name]
@@ -96,18 +94,12 @@ def run_experiment(
         raise ConfigurationError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         ) from None
-    if batch_lanes < 1:
-        raise ConfigurationError(
-            f"batch_lanes must be >= 1, got {batch_lanes}"
-        )
     kwargs = {"scale": scale, "seed": seed}
     accepted = inspect.signature(driver).parameters
     if "processes" in accepted:
         kwargs["processes"] = processes
     if "path_store" in accepted:
         kwargs["path_store"] = path_store
-    if "batch_lanes" in accepted:
-        kwargs["batch_lanes"] = batch_lanes
     if "pairs_on_demand" in accepted and pairs_on_demand is not None:
         kwargs["pairs_on_demand"] = pairs_on_demand
     return driver(**kwargs)
@@ -198,8 +190,8 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="enable the packet flight recorder, tracing every Nth injected "
-        "packet (1 = all); writes <experiment>-<scale>.trace.npz and prints "
+        help="enable the packet flight recorder, tracing every Nth packet "
+        "injected in each run (1 = all); writes <experiment>-<scale>.trace.npz and prints "
         "the latency-decomposition and path-share tables "
         "(requires --telemetry-dir)",
     )
@@ -241,15 +233,6 @@ def main(argv=None) -> int:
         "<experiment>-<scale>.profile.pstats next to the manifest, records "
         "the path in the manifest, and prints the top-10 cumulative "
         "hotspots (requires --telemetry-dir)",
-    )
-    parser.add_argument(
-        "--batch-lanes",
-        type=int,
-        default=1,
-        metavar="N",
-        help="pack up to N independent simulator runs per saturation cell "
-        "into the batched multi-lane engine (results byte-identical to "
-        "N=1; default: 1)",
     )
     parser.add_argument(
         "--live",
@@ -294,8 +277,6 @@ def main(argv=None) -> int:
         parser.error("--profile requires --telemetry-dir")
     if args.run_ledger is not None and telemetry_dir is None:
         parser.error("--run-ledger requires --telemetry-dir")
-    if args.batch_lanes < 1:
-        parser.error("--batch-lanes must be >= 1")
 
     if args.pairs_on_demand is not None and args.pairs_on_demand < 1:
         parser.error("--pairs-on-demand must be >= 1")
@@ -347,7 +328,6 @@ def main(argv=None) -> int:
                     result = run_experiment(
                         name, scale=args.scale, seed=args.seed,
                         processes=args.processes, path_store=store,
-                        batch_lanes=args.batch_lanes,
                         pairs_on_demand=args.pairs_on_demand,
                     )
             finally:
@@ -411,7 +391,6 @@ def _emit_telemetry(
             "timeseries_window": args.timeseries_window,
             "linkstate": args.linkstate,
             "flowstats": args.flowstats,
-            "batch_lanes": args.batch_lanes,
             "profile": args.profile,
         },
         wall_time_s=wall,

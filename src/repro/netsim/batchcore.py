@@ -50,8 +50,9 @@ than silently diverging): no flight-recorder tracing, and only mechanisms
 with an array-native implementation (``sp``, ``random``, ``round_robin``,
 ``ksp_ugal``, ``ksp_adaptive``) — vanilla UGAL composes Valiant routes
 mid-run through its mechanism object, which a shared-table batch cannot
-replay.  The grid runner (:mod:`repro.netsim.parallel`) falls back to
-per-cell execution for those cells.
+replay.  The saturation search
+(:func:`repro.netsim.sweep.search_saturation`) runs such jobs alone on
+the per-run engine.
 
 Lanes that finish draining early are masked out of the drain loop, and
 the allocator's scan compacts to the rows of still-active lanes once any
@@ -101,7 +102,7 @@ __all__ = [
 #: Mechanisms with an array-native batched implementation: those with a
 #: launch draw plan.  Vanilla UGAL ("ugal") builds composite Valiant
 #: routes through its mechanism object at launch time and is excluded;
-#: the grid runner keeps such cells on the per-run fast engine.
+#: the saturation search runs such jobs alone on the per-run fast engine.
 BATCHABLE_MECHANISMS = tuple(_DRAW_PLAN)
 
 
@@ -113,9 +114,9 @@ def lane_vc_count(
 ) -> int:
     """The VC count a lane with this mechanism and cache state would use.
 
-    All lanes of one batch share a buffer layout, so the grid runner
-    groups cells by ``(scheme, lane_vc_count(...))`` before packing them
-    into batches.  Assumes the cache is already warmed for the traffic
+    All lanes of one batch share a buffer layout, so the saturation
+    search groups jobs by ``(path cache, lane_vc_count(...))`` before
+    packing them into batches.  Assumes the cache is already warmed for the traffic
     the lanes carry (the grid warms every pattern's pairs up front);
     construction of the probe mechanism touches neither the cache nor
     the metrics registry.
@@ -153,8 +154,8 @@ class BatchSimulator:
         constructions.
     lanes:
         One :class:`BatchLane` per run.  All lanes must agree on the VC
-        count their mechanism implies (the grid runner groups cells by
-        it); a disagreement raises :class:`ConfigurationError`.
+        count their mechanism implies (the saturation search groups jobs
+        by it); a disagreement raises :class:`ConfigurationError`.
     config:
         Shared simulator parameters.  VC-occupancy samples follow
         :meth:`run`'s ``observe``, which defaults to whether the metrics
@@ -1520,7 +1521,7 @@ class BatchSimulator:
         With ``publish`` (the default) each lane's telemetry is replayed
         into the active metrics registry / time-series recorder in lane
         order, exactly as N sequential serial runs would have published.
-        The grid runner passes ``publish=False`` and replays each lane
+        The saturation search passes ``publish=False`` and replays each lane
         under its own capture instead (per-lane artifact splitting);
         because those captures are not active *during* the run, it also
         passes ``observe=True`` to keep VC-occupancy sampling on.

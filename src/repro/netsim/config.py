@@ -64,12 +64,17 @@ class SimConfig:
         object-per-packet implementation, kept for audits).  Both produce
         byte-identical results; the equivalence suite pins this.
     batch_lanes:
-        Maximum independent runs stepped in lock-step by the batched
-        engine (:mod:`repro.netsim.batchcore`) when a grid packs cells
-        into lanes.  ``1`` (the default) keeps every run on the plain
-        per-run engine.  Lanes require the array-native core underneath,
-        so ``batch_lanes > 1`` with ``engine="reference"`` is a
-        configuration error rather than a silent per-cell fallback.
+        Lane width of the saturation search
+        (:func:`repro.netsim.sweep.search_saturation`): the most
+        independent runs it steps in lock-step on the batched engine
+        (:mod:`repro.netsim.batchcore`).  ``1`` (the default) keeps every
+        run on the plain per-run engine; the medium and paper Figure
+        7-10 presets use 8.  Vanilla ``ugal`` runs and traced runs probe
+        alone at any width, and so does a probe packed alone; results
+        are identical at every width.  Lanes require the array-native
+        core underneath, so ``batch_lanes > 1`` with
+        ``engine="reference"`` is a configuration error rather than a
+        silent per-cell fallback.
     """
 
     channel_latency: int = 10

@@ -3,10 +3,13 @@
 Implements the paper's measurement protocol: simulate offered loads from
 a ladder of rates, flag each run as saturated per the sample-latency
 criterion, and report the last rate before saturation as the network's
-throughput (Figures 7-10).  :func:`saturation_throughput` finds that rung
-by an exponential search over the ladder (:class:`LadderSearch`, also
-stepped by the batched grid driver) instead of climbing every rung; it
-returns the ladder's answer whenever saturation is monotone in rate.
+throughput (Figures 7-10).  :func:`search_saturation` is the one driver
+of that search: each job finds its rung by an exponential search over the
+ladder (:class:`LadderSearch`) instead of climbing every rung, and jobs
+that can share a batch probe as lanes of the batched engine.
+:func:`saturation_throughput` is its one-job call, and the saturation
+grid and the figure cells call it with many jobs.  It returns the
+ladder's answer whenever saturation is monotone in rate.
 :func:`latency_curve` climbs the ladder rung by rung for the
 latency-versus-load plots (Figures 11-13).
 """
@@ -15,18 +18,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cache import PathCache
 from repro.errors import ConfigurationError
+from repro.netsim.batchcore import (
+    BATCHABLE_MECHANISMS,
+    BatchLane,
+    BatchSimulator,
+    lane_vc_count,
+)
 from repro.netsim.config import SimConfig
 from repro.netsim.simulator import PatternTraffic, SimResult, Simulator, UniformTraffic
+from repro.obs import layers
+from repro.obs.monitor import Heartbeater
 from repro.topology.jellyfish import Jellyfish
 from repro.utils.rng import SeedLike, ensure_rng
 
-__all__ = ["LadderSearch", "SweepPoint", "latency_curve", "saturation_throughput"]
+__all__ = [
+    "LadderSearch",
+    "SweepPoint",
+    "latency_curve",
+    "saturation_throughput",
+    "search_saturation",
+]
 
 DEFAULT_RATES: Tuple[float, ...] = tuple(np.round(np.arange(0.05, 1.0001, 0.05), 4))
 
@@ -187,32 +204,155 @@ def saturation_throughput(
 
     Mirrors the paper: "we record the last injection rate before the
     network reaches the saturation point as the network throughput".  A
-    network saturated even at the lowest rate reports 0.0.  The rung is
-    found by :class:`LadderSearch` over the strictly increasing ladder
-    ``rates``, each rung run with the seed a climb would give it
-    (:func:`rung_seeds`), so the answer equals the climb's whenever
-    saturation is monotone in rate.  When it is not, the answer is an
-    unsaturated rung whose next rung was probed and saturated, or 0.0
-    (rung 0 saturated), or the top rung (it ran unsaturated).  The
-    points come back in rate order.  A ``Generator`` passed as ``seed``
-    ends in the state the climb leaves it in: one draw per rung up to and
-    including the first saturated one (:attr:`LadderSearch.climbed`).
+    network saturated even at the lowest rate reports 0.0.  This is the
+    one-job call of :func:`search_saturation`, which documents the search
+    and the answer it gives when saturation is not monotone in rate; the
+    probes' telemetry is merged into the active recorders in probe order.
+    """
+    job = (paths, mechanism, traffic, seed)
+    cfgs = layers.active_configs()
+    [(throughput, points, snaps)] = search_saturation(
+        topology, [job], rates, config, cfgs
+    )
+    layers.merge(snaps)
+    return throughput, points
+
+
+#: One saturation search's answer: the throughput, the probed points in
+#: rate order, and ``{layer: snapshot}`` of its probes (``None`` when no
+#: capture layer is on).
+SearchResult = Tuple[float, List[SweepPoint], Optional[Dict[str, dict]]]
+
+
+def search_saturation(
+    topology: Jellyfish,
+    jobs: Sequence[Tuple[PathCache, str, object, SeedLike]],
+    rates: Sequence[float],
+    config: SimConfig,
+    cfgs: Mapping[str, dict],
+    hb: Optional[Heartbeater] = None,
+) -> List[SearchResult]:
+    """Saturation searches of many jobs, probe by probe, packed into lanes.
+
+    ``jobs`` holds one ``(paths, mechanism, traffic, seed)`` per search.
+    Each job searches the strictly increasing ladder ``rates`` with its
+    own :class:`LadderSearch`, rung ``i`` run with the ``i``-th seed drawn
+    from ``seed`` (:func:`rung_seeds`, the seed a climb gives it), so the
+    answer equals the climb's whenever saturation is monotone in rate.
+    When it is not, the answer is an unsaturated rung whose next rung was
+    probed and saturated, or 0.0 (rung 0 saturated), or the top rung (it
+    ran unsaturated).  A ``Generator`` passed as a seed ends in the state
+    the climb leaves it in: one draw per rung up to and including the
+    first saturated one (:attr:`LadderSearch.climbed`).
+
+    All jobs advance one probe per step.  A job that can share a batch
+    (a mechanism in ``BATCHABLE_MECHANISMS``, the flight recorder off and
+    ``config.batch_lanes > 1``) is grouped by (path cache, VC count),
+    since the lanes of one batch share one cache and one buffer layout;
+    any other job is a group of its own.  Each step packs a group's live
+    jobs into packs of at most ``config.batch_lanes`` lanes.  A pack of
+    several lanes is one lock-step
+    :class:`~repro.netsim.batchcore.BatchSimulator` run whose lanes may
+    probe different rates; a pack of one lane runs on the per-run engine,
+    byte-identical to a one-lane batch (faster on small topologies,
+    slower at the paper's sizes), with its time-series windows fed to
+    ``hb``.
+
+    Every probe publishes under fresh recorders for the capture layers in
+    ``cfgs``, and each job's probes are merged in probe order, the order
+    a lone search runs them in, so a job's throughput, points and
+    snapshots do not depend on the packing.  Returns one
+    ``(throughput, points, snapshots or None)`` per job, in job order,
+    with the points in rate order.
     """
     check_ladder(rates)
-    rng = ensure_rng(seed)
-    start = rng.bit_generator.state
-    seeds = rung_seeds(rng, len(rates))
-    search = LadderSearch(len(rates))
-    points: Dict[int, SweepPoint] = {}
-    rung = search.next_rung()
-    while rung is not None:
-        result = _run_one(
-            topology, paths, mechanism, traffic, rates[rung], config, seeds[rung]
-        )
-        points[rung] = SweepPoint(rate=float(rates[rung]), result=result)
-        search.record(rung, result.saturated)
-        rung = search.next_rung()
-    if rng is seed:  # the caller's generator: leave it where a climb would
-        rng.bit_generator.state = start
-        rung_seeds(rng, search.climbed)
-    return search.answer(rates), [points[i] for i in sorted(points)]
+    rngs = [ensure_rng(job[3]) for job in jobs]
+    starts = [rng.bit_generator.state for rng in rngs]
+    seeds = [rung_seeds(rng, len(rates)) for rng in rngs]
+    searches = [LadderSearch(len(rates)) for _ in jobs]
+    shared = config.batch_lanes > 1 and "trace" not in cfgs
+    group_of = [
+        (id(paths), lane_vc_count(topology, paths, mech, config))
+        if shared and mech in BATCHABLE_MECHANISMS else i
+        for i, (paths, mech, _traffic, _seed) in enumerate(jobs)
+    ]
+    points: List[Dict[int, SweepPoint]] = [{} for _ in jobs]
+    probes: List[List[dict]] = [[] for _ in jobs]
+
+    while True:
+        step = [search.next_rung() for search in searches]
+        groups: Dict[object, List[int]] = {}
+        for i, rung in enumerate(step):
+            if rung is not None:
+                groups.setdefault(group_of[i], []).append(i)
+        if not groups:
+            break
+        for members in groups.values():
+            for s in range(0, len(members), config.batch_lanes):
+                pack = members[s : s + config.batch_lanes]
+                if hb is not None:
+                    probed = sorted({float(rates[step[i]]) for i in pack})
+                    hb.task(
+                        f"{jobs[pack[0]][0].selector.name} rates={probed} "
+                        f"x{len(pack)} lanes"
+                    )
+                results, snaps = _run_pack(
+                    topology, [jobs[i] for i in pack],
+                    [(rates[step[i]], seeds[i][step[i]]) for i in pack],
+                    config, cfgs, hb,
+                )
+                for i, result, snap in zip(pack, results, snaps):
+                    rung = step[i]
+                    points[i][rung] = SweepPoint(float(rates[rung]), result)
+                    if snap:
+                        probes[i].append(snap)
+                    searches[i].record(rung, result.saturated)
+                if hb is not None:
+                    hb.done()
+
+    out: List[SearchResult] = []
+    for i, search in enumerate(searches):
+        if rngs[i] is jobs[i][3]:  # the caller's generator: as a climb leaves it
+            rngs[i].bit_generator.state = starts[i]
+            rung_seeds(rngs[i], search.climbed)
+        merged = None
+        if probes[i]:
+            with layers.capture(cfgs) as recs:
+                for snap in probes[i]:  # probe order = a lone search's order
+                    layers.merge(snap)
+            merged = _snapshots(recs)
+        ordered = [points[i][rung] for rung in sorted(points[i])]
+        out.append((search.answer(rates), ordered, merged))
+    return out
+
+
+def _run_pack(topology, pack, runs, config, cfgs, hb):
+    """Probe one pack: ``pack`` holds its jobs and ``runs`` each one's
+    ``(rate, run seed)``; returns their results and snapshots."""
+    if len(pack) == 1:
+        (paths, mechanism, traffic, _), [(rate, seed)] = pack[0], runs
+        with layers.capture(cfgs) as recs:
+            if hb is not None and "timeseries" in recs:
+                recs["timeseries"].on_window = hb.window
+            result = _run_one(
+                topology, paths, mechanism, traffic, rate, config, seed
+            )
+        return [result], [_snapshots(recs)]
+    lanes = [
+        BatchLane(mechanism, traffic, float(rate), seed=np.random.default_rng(seed))
+        for (_, mechanism, traffic, _), (rate, seed) in zip(pack, runs)
+    ]
+    batch = BatchSimulator(topology, pack[0][0], lanes, config)
+    results = batch.run(publish=False, observe="metrics" in cfgs)
+    snaps = []
+    for j in range(len(pack)):
+        with layers.capture(cfgs) as recs:
+            if recs:
+                batch.publish_lane(j)
+        snaps.append(_snapshots(recs))
+    return results, snaps
+
+
+def _snapshots(recs: Mapping[str, object]) -> Dict[str, dict]:
+    """``{layer: snapshot}`` of a :func:`repro.obs.layers.capture` block."""
+    return {name: rec.snapshot() for name, rec in recs.items()}

@@ -35,8 +35,8 @@ In a pair diff:
 Simulator runs stamp their engine into the manifest (the
 ``netsim.engine_runs/<engine>`` counters).  When the two manifests ran
 *different* engine sets — any mismatch among the ``reference``,
-``fast`` and ``batched`` tiers, including a batched grid whose fallback
-cells add ``fast`` alongside ``batched`` — their timings measure
+``fast`` and ``batched`` tiers, including a batched grid whose lone
+jobs add ``fast`` alongside ``batched`` — their timings measure
 different implementations, so timing regressions are reported but
 **not gated** and the diff carries an explicit cross-engine note.
 Counters still gate as usual: all engine tiers are byte-equivalent, so

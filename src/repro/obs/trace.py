@@ -9,8 +9,9 @@ sampled subset of packets:
   one row per traced packet (source/destination, chosen path index, the
   intended switch route, create/launch/deliver cycles) and one row per
   packet *event* (inject, VC alloc, hop enqueue, hop depart, credit
-  stall, eject).  Head-based sampling traces every ``sample``-th injected
-  packet; ring semantics bound memory whatever the run length.
+  stall, eject).  Head-based sampling traces every ``sample``-th packet
+  injected in a run, counting from the run's first; ring semantics bound
+  memory whatever the run length.
 - **Module state and persistence** — the shared capture-layer lifecycle
   of :class:`repro.obs.recorder.Slot`: one active recorder per process
   (:func:`enable` / :func:`capture`), hot paths pay a single ``is None``
@@ -92,8 +93,9 @@ class TraceRecorder:
     Parameters
     ----------
     sample:
-        Head-based sampling period: every ``sample``-th injected packet is
-        traced (1 = every packet).
+        Head-based sampling period: every ``sample``-th packet injected
+        in a run is traced, counting from the run's first (1 = every
+        packet), so a run traces the same packets whatever ran before it.
     event_capacity / packet_capacity:
         Ring sizes; once full, the oldest rows are overwritten (the
         snapshot reports how many were dropped).
@@ -118,6 +120,7 @@ class TraceRecorder:
         self.packet_capacity = int(packet_capacity)
         self.runs: List[dict] = []
         self.n_injected = 0   # packets offered to the sampler
+        self._run_injected = 0  # of them, in the current run
         self.n_packets = 0    # uids allocated (logical, monotonic)
         self.n_events = 0     # events recorded (logical, monotonic)
         self._pk_w = 0        # physical packet-ring write pointer
@@ -143,8 +146,12 @@ class TraceRecorder:
 
     # --------------------------------------------------------- recording
     def begin_run(self, **meta) -> int:
-        """Register one simulator run; returns its run id for event rows."""
+        """Register one simulator run; returns its run id for event rows.
+
+        Restarts the sampling phase: the run's first packet is traced.
+        """
         self._open.clear()  # packets of prior runs no longer update
+        self._run_injected = 0
         self.runs.append(dict(meta))
         return len(self.runs) - 1
 
@@ -153,7 +160,8 @@ class TraceRecorder:
         t_create: int,
     ) -> int:
         """Sampling decision at injection: uid of the traced packet or -1."""
-        i = self.n_injected
+        i = self._run_injected
+        self._run_injected += 1
         self.n_injected += 1
         if i % self.sample:
             return -1

@@ -113,6 +113,40 @@ class TestEdgeCases:
         rates = maxmin_rates([arr(0)] * n, 1.0, n_links=1)
         assert rates == pytest.approx(np.full(n, 1e-3))
 
+    # Its step cap / 10000 leaves one ulp (0.00098) on the link, above the
+    # saturation threshold (0.00059); the link that set the step is full.
+    CROWDED_CAP = 5881805419446.382
+
+    def test_crowded_link_residue_still_saturates(self):
+        n = 10000
+        rates = maxmin_rates([arr(0)] * n, np.array([self.CROWDED_CAP]))
+        assert rates.size == n
+        assert (rates == self.CROWDED_CAP / n).all()
+
+    def test_crowded_link_residue_after_another_link(self):
+        # Level 0 freezes the lone flow of link 1; the crowded link then
+        # sets level 1's step and keeps its residue.
+        n = 10000
+        rates = maxmin_rates(
+            [arr(0)] * n + [arr(1)], np.array([self.CROWDED_CAP, 1.0])
+        )
+        assert rates[-1] == 1.0
+        assert (rates[:n] == rates[0]).all()
+        assert rates[:n].sum() <= self.CROWDED_CAP * (1 + 1e-12)
+
+    def test_crowded_link_event_loop_completes(self):
+        n = 10000
+        flows = [
+            FlowSpec(0, 1, 1e6 * (1 + i % 3), arr(0), message_id=i)
+            for i in range(n)
+        ]
+        result = run_flows(flows, np.array([self.CROWDED_CAP]))
+        assert (result.flow_completion > 0).all()
+        # One shared link stays full until the last flow ends.
+        assert result.makespan == pytest.approx(
+            result.total_bytes / self.CROWDED_CAP
+        )
+
     def test_negative_link_id_rejected(self):
         with pytest.raises(SimulationError, match=r"link id -1 .*n_links=3"):
             maxmin_rates([arr(-1), arr(2)], 1.0, n_links=3)

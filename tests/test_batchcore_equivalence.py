@@ -43,7 +43,7 @@ from repro.experiments.figs_netsim import _cell_throughputs
 from repro.netsim import SimConfig, Simulator, UniformTraffic, PatternTraffic
 from repro.netsim.batchcore import BatchLane, BatchSimulator
 from repro.netsim.fastcore import FastSimulator
-from repro.netsim import parallel
+from repro.netsim import sweep
 from repro.netsim.parallel import run_saturation_grid
 from repro.obs import flowstats, layers, linkstate, metrics, timeseries, trace
 from repro.obs.trace import TraceAnalysis
@@ -317,7 +317,7 @@ class TestTracedGridFallback:
 
 
 class TestFigureCellLanes:
-    """``fig7``-``fig10 --batch-lanes N`` must write the serial artifacts.
+    """A figure cell must write the same artifacts at every lane width.
 
     A figure cell batches its patterns as lanes, so with two or more
     patterns every capture layer must still record pattern-major,
@@ -325,7 +325,7 @@ class TestFigureCellLanes:
     """
 
     def _cell(self, batch_lanes, tmp_path, mechanism="ksp_adaptive",
-              rates=(0.3, 0.6, 0.9), **knobs):
+              rates=(0.3, 0.6, 0.9), trace_sample=None, **knobs):
         topo = _topo()
         patterns = [random_permutation(topo.n_hosts, seed=s) for s in (5, 6, 7)]
         seeds = [
@@ -336,6 +336,8 @@ class TestFigureCellLanes:
         timeseries.enable(window=30)
         linkstate.enable(window=30)
         flowstats.enable()
+        if trace_sample is not None:
+            trace.enable(sample=trace_sample)
         try:
             throughputs = _cell_throughputs(
                 topo, PathCache(topo, "redksp", k=4, seed=1), mechanism,
@@ -348,6 +350,8 @@ class TestFigureCellLanes:
                 "linkstate": linkstate.save_linkstate(out / "c.ls.npz"),
                 "flowstats": flowstats.save_flowstats(out / "c.fs.npz"),
             }
+            if trace_sample is not None:
+                saved["trace"] = trace.save_trace(out / "c.tr.npz")
             n_runs = timeseries.snapshot()["n_runs"]
             snap = _strip_engine_keys(metrics.snapshot())
         finally:
@@ -376,13 +380,13 @@ class TestFigureCellLanes:
         )
         serial = self._cell(1, tmp_path, **knobs)
         packs = []
-        real = parallel.BatchSimulator
+        real = sweep.BatchSimulator
 
         def recording(topology, cache, lanes, config):
             packs.append([lane.injection_rate for lane in lanes])
             return real(topology, cache, lanes, config)
 
-        monkeypatch.setattr(parallel, "BatchSimulator", recording)
+        monkeypatch.setattr(sweep, "BatchSimulator", recording)
         batched = self._cell(8, tmp_path, **knobs)
         assert any(len(set(rates)) > 1 for rates in packs)
         assert serial[0] == [0.8, 0.7, 0.4]
@@ -391,6 +395,36 @@ class TestFigureCellLanes:
         assert batched[3] == serial[3]
         diverged = [n for n, d in serial[2].items() if batched[2][n] != d]
         assert diverged == []
+
+    @pytest.mark.parametrize(
+        "mechanism, trace_sample", [("ugal", None), ("ksp_adaptive", 3)]
+    )
+    def test_lone_searches_match_across_widths(
+        self, tmp_path, monkeypatch, mechanism, trace_sample
+    ):
+        # Vanilla UGAL has no batched implementation and a traced cell
+        # keeps per-packet events per run, so at any width each pattern
+        # searches alone on the per-run engine, with the same artifacts.
+        built = []
+        real = sweep.BatchSimulator
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "BatchSimulator", counting)
+        knobs = dict(mechanism=mechanism, trace_sample=trace_sample)
+        narrow = self._cell(1, tmp_path, **knobs)
+        wide = self._cell(8, tmp_path, **knobs)
+        assert built == []
+        assert narrow[1] > len(narrow[0])  # some pattern ran 2+ rungs
+        assert wide[0] == narrow[0]
+        assert wide[1] == narrow[1]
+        assert wide[3] == narrow[3]
+        assert set(wide[2]) == {"timeseries", "linkstate", "flowstats"} | (
+            {"trace"} if trace_sample else set()
+        )
+        assert wide[2] == narrow[2]
 
     def test_one_pattern_cell_stays_on_fast_engine(self):
         # One pattern only makes one-lane batches, which run slower than

@@ -10,7 +10,7 @@ import pytest
 from repro import Jellyfish, PathCache
 from repro.core.path import Path, PathSet
 from repro.errors import ConfigurationError
-from repro.netsim import SimConfig, parallel, run_saturation_grid
+from repro.netsim import SimConfig, run_saturation_grid, sweep
 from repro.obs import flowstats, layers, linkstate, metrics
 from repro.obs import timeseries as obs_timeseries
 from repro.traffic import random_permutation, shift
@@ -207,13 +207,13 @@ class TestGridBatching:
             topo, ["redksp"], ["ksp_adaptive"], pats, 1, **kw
         )
         built = []
-        real = parallel.BatchSimulator
+        real = sweep.BatchSimulator
 
         def counting(*args, **kwargs):
             built.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(parallel, "BatchSimulator", counting)
+        monkeypatch.setattr(sweep, "BatchSimulator", counting)
         batched = _grid_with_telemetry(
             topo, ["redksp"], ["ksp_adaptive"], pats, 8, **kw
         )

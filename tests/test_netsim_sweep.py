@@ -16,7 +16,12 @@ from repro.netsim import (
     saturation_throughput,
     sweep,
 )
-from repro.netsim.sweep import DEFAULT_RATES, SweepPoint, check_ladder
+from repro.netsim.sweep import (
+    DEFAULT_RATES,
+    SweepPoint,
+    check_ladder,
+    search_saturation,
+)
 from repro.traffic import random_permutation
 
 TINY = SimConfig(warmup_cycles=50, sample_cycles=50, n_samples=2)
@@ -188,6 +193,34 @@ class TestSearchEqualsLadder:
             stopped.append(len(points) < n)
             assert searched.integers(2**63) == climbed.integers(2**63)
         assert any(stopped)  # a climb that stops early draws fewer seeds
+
+
+class TestSearchSaturation:
+    """The driver's lane packing on real runs."""
+
+    def test_jobs_share_a_batch_only_with_their_own_paths(self, setup):
+        # Two tables of one scheme (k = 2 and 3) must not share a batch:
+        # a lane runs on its batch's one path cache.
+        topo, _ = setup
+        config = SimConfig(
+            warmup_cycles=50, sample_cycles=50, n_samples=2,
+            saturation_latency=40.0, batch_lanes=8,
+        )
+        traffic = PatternTraffic(random_permutation(topo.n_hosts, seed=0))
+        rates = TestSearchEqualsLadder.RATES
+        jobs = [
+            (PathCache(topo, "redksp", k=k, seed=1), "ksp_adaptive", traffic, 5)
+            for k in (2, 3)
+        ]
+        together = search_saturation(topo, jobs, rates, config, {})
+        for job, (th, points, _) in zip(jobs, together):
+            [(alone, alone_points, _)] = search_saturation(
+                topo, [job], rates, config, {}
+            )
+            assert th == alone
+            assert [repr(p.result) for p in points] == [
+                repr(p.result) for p in alone_points
+            ]
 
 
 #: Every saturated-flag pattern of ladders of 1 to 10 rungs.

@@ -388,9 +388,9 @@ def test_grid_without_timeseries_still_returns_four_none(topo):
     )
     try:
         cfg = SimConfig(warmup_cycles=20, sample_cycles=20, n_samples=1)
-        cell, snaps = parallel._run_cell(
-            ("ksp", "random", 0, pattern.flows, pattern.n_hosts,
-             (0.2,), cfg, (9, 0))
+        [(cell, snaps)] = parallel._run_cell_batch(
+            [("ksp", "random", 0, pattern.flows, pattern.n_hosts,
+              (0.2,), cfg, (9, 0))]
         )
         assert snaps is None
         assert cell.scheme == "ksp"
