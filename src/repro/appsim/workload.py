@@ -20,6 +20,7 @@ routing mechanism:
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -145,6 +146,8 @@ def stencil_time(
     """
     check_in(mapping, ("linear", "random"), "mapping")
     check_positive_int(iterations, "iterations")
+    if not (math.isfinite(total_bytes) and total_bytes > 0):
+        raise SimulationError(f"each rank has {total_bytes} bytes; need a finite positive count")
     rng = ensure_rng(seed)
     n_ranks = topology.n_hosts if n_ranks is None else int(n_ranks)
     if paths is None:

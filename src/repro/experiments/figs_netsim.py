@@ -7,62 +7,32 @@ saturation throughput over several pattern instances.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 import numpy as np
 
 from repro.core import PathCache
 from repro.experiments.base import ExperimentResult
 from repro.experiments.presets import netsim_preset
-from repro.netsim import PatternTraffic
-# Kept bound here, though the cells call ``search_saturation``: the e2e
+# Kept bound here, though the figures run through ``run_cells``: the e2e
 # benchmark's tracer (``benchmarks/e2e/trace.py``) wraps
 # ``saturation_throughput`` by this module's name.
 from repro.netsim import saturation_throughput  # noqa: F401
-from repro.netsim.sweep import search_saturation
-from repro.obs import layers, log, metrics, topology_hash
+from repro.netsim.parallel import run_cells
+from repro.obs import log, metrics, topology_hash
 from repro.topology import Jellyfish
 from repro.traffic import random_permutation, random_shift
 from repro.utils.rng import SeedLike, spawn_rngs
 
 
-def _cell_throughputs(
-    topo: Jellyfish,
-    cache: PathCache,
-    mechanism: str,
-    patterns,
-    rates,
-    config,
-    cell_seeds,
-) -> List[float]:
-    """Per-pattern saturation throughput of one (scheme, mechanism) cell.
-
-    The cell's patterns are the jobs of one
-    :func:`~repro.netsim.sweep.search_saturation` call: with
-    ``config.batch_lanes > 1`` they search the ladder in lock-step as
-    lanes of the batched engine, whose lanes may probe different rates.
-    Each pattern's telemetry is merged home in pattern-major, probe-minor
-    order, so throughputs and run artifacts are those of searching each
-    pattern alone whatever the lane width.
-    """
-    jobs = [
-        (cache, mechanism, PatternTraffic(pat), cell_seed)
-        for pat, cell_seed in zip(patterns, cell_seeds)
-    ]
-    results = search_saturation(
-        topo, jobs, rates, config, layers.active_configs()
-    )
-    for _, _, snaps in results:
-        layers.merge(snaps)
-    return [th for th, _, _ in results]
-
-
-def run_fig(figure: int, scale: str = "small", seed: SeedLike = 0) -> ExperimentResult:
+def run_fig(
+    figure: int, scale: str = "small", seed: SeedLike = 0, processes: int = 1
+) -> ExperimentResult:
     """One saturation-throughput figure (7-10).
 
     Every run uses the preset's fixed cycle budget, and each cell's
     throughput is the last rate of the preset's ladder before saturation,
-    found by a search that probes a few rungs.  The preset's lane width
+    found by a search that probes a few rungs.  The cells run through
+    :func:`~repro.netsim.parallel.run_cells` on ``processes`` workers
+    (the table is the same for any count).  The preset's lane width
     (``config.batch_lanes``) packs each cell's patterns as lock-step
     lanes of the batched engine; a probe packed alone runs on the fast
     engine (results byte-identical either way).
@@ -85,39 +55,42 @@ def run_fig(figure: int, scale: str = "small", seed: SeedLike = 0) -> Experiment
         random_shift(n, seed=rng) if shift_traffic else random_permutation(n, seed=rng)
         for rng in pat_rngs
     ]
+    schemes, mechanisms = preset["schemes"], preset["mechanisms"]
+    caches = {
+        scheme: PathCache(topo, scheme, k=preset["k"], seed=int(topo_rng.integers(2**31)))
+        for scheme in schemes
+    }
+    # One chunk per (scheme, mechanism) cell, holding its patterns, so no
+    # pack mixes cells and a chunk's probe snapshots live only as long as
+    # its cell's search.  Deterministic per-cell streams: str hashes are
+    # salted per process, so derive from indices instead.
+    chunks = [
+        [
+            (scheme, mech, i, np.random.SeedSequence(entropy=figure, spawn_key=(si, mi, i)))
+            for i in range(len(patterns))
+        ]
+        for si, scheme in enumerate(schemes)
+        for mi, mech in enumerate(mechanisms)
+    ]
+    with metrics.span("stage.sweep"):
+        grid = run_cells(
+            topo, caches, patterns, chunks, preset["rates"], preset["config"],
+            processes,
+        )
 
-    data: Dict[str, Dict[str, float]] = {}
-    rows = []
-    for si, scheme in enumerate(preset["schemes"]):
-        cache = PathCache(topo, scheme, k=preset["k"], seed=int(topo_rng.integers(2**31)))
-        per_mech = {}
-        with metrics.span(f"stage.sweep.{scheme}"):
-            for mi, mech in enumerate(preset["mechanisms"]):
-                # Deterministic per-cell streams: str hashes are salted
-                # per process, so derive from indices instead.
-                cell_seeds = [
-                    np.random.SeedSequence(
-                        entropy=figure, spawn_key=(si, mi, i)
-                    )
-                    for i in range(len(patterns))
-                ]
-                values = _cell_throughputs(
-                    topo, cache, mech, patterns,
-                    preset["rates"], preset["config"], cell_seeds,
-                )
-                per_mech[mech] = float(np.mean(values))
-                log.info(
-                    "sweep_cell_done", figure=figure, scheme=scheme,
-                    mechanism=mech, throughput=per_mech[mech],
-                )
-        data[scheme] = per_mech
-        rows.append([scheme] + [round(per_mech[m], 3) for m in preset["mechanisms"]])
+    for (scheme, mech), throughput in grid.items():
+        log.info(
+            "sweep_cell_done", figure=figure, scheme=scheme,
+            mechanism=mech, throughput=throughput,
+        )
+    data = {scheme: {mech: grid[scheme, mech] for mech in mechanisms} for scheme in schemes}
+    rows = [[scheme] + [round(v, 3) for v in data[scheme].values()] for scheme in schemes]
 
     kind = "random shift" if shift_traffic else "random permutations"
     return ExperimentResult(
         experiment=f"fig{figure}",
         title=f"Average saturation throughput of {kind} on {spec.label}",
-        headers=["scheme"] + list(preset["mechanisms"]),
+        headers=["scheme"] + list(mechanisms),
         rows=rows,
         scale=scale,
         notes=f"k={preset['k']}; {preset['n_patterns']} pattern(s); "
@@ -126,21 +99,21 @@ def run_fig(figure: int, scale: str = "small", seed: SeedLike = 0) -> Experiment
     )
 
 
-def run_fig7(scale: str = "small", seed: SeedLike = 0) -> ExperimentResult:
+def run_fig7(scale: str = "small", seed: SeedLike = 0, processes: int = 1) -> ExperimentResult:
     """Figure 7: permutations on the small topology."""
-    return run_fig(7, scale, seed)
+    return run_fig(7, scale, seed, processes)
 
 
-def run_fig8(scale: str = "small", seed: SeedLike = 0) -> ExperimentResult:
+def run_fig8(scale: str = "small", seed: SeedLike = 0, processes: int = 1) -> ExperimentResult:
     """Figure 8: permutations on the medium topology."""
-    return run_fig(8, scale, seed)
+    return run_fig(8, scale, seed, processes)
 
 
-def run_fig9(scale: str = "small", seed: SeedLike = 0) -> ExperimentResult:
+def run_fig9(scale: str = "small", seed: SeedLike = 0, processes: int = 1) -> ExperimentResult:
     """Figure 9: shifts on the small topology."""
-    return run_fig(9, scale, seed)
+    return run_fig(9, scale, seed, processes)
 
 
-def run_fig10(scale: str = "small", seed: SeedLike = 0) -> ExperimentResult:
+def run_fig10(scale: str = "small", seed: SeedLike = 0, processes: int = 1) -> ExperimentResult:
     """Figure 10: shifts on the medium topology."""
-    return run_fig(10, scale, seed)
+    return run_fig(10, scale, seed, processes)

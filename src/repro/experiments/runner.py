@@ -81,12 +81,13 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by id (``"table1"`` ... ``"fig13"``).
 
-    ``processes`` and ``path_store`` feed the fast path-table pipeline
-    (parallel precompute + persistent tables); ``pairs_on_demand`` caps
-    per-topology path precompute at a fixed pair budget for the drivers
-    that sample pairs.  Each keyword is forwarded only to drivers that
-    accept it; for all but ``pairs_on_demand``, results are identical
-    either way.
+    ``processes`` spreads the work over worker processes: the path
+    precompute of Tables II-IV and the saturation-grid cells of Figures
+    7-10.  ``path_store`` feeds the persistent path-table pipeline;
+    ``pairs_on_demand`` caps per-topology path precompute at a fixed pair
+    budget for the drivers that sample pairs.  Each keyword is forwarded
+    only to drivers that accept it; for all but ``pairs_on_demand``,
+    results are identical either way.
     """
     try:
         driver = EXPERIMENTS[name]
@@ -145,7 +146,9 @@ def main(argv=None) -> int:
         "--processes",
         type=int,
         default=1,
-        help="worker processes for path-table precompute (default: 1)",
+        help="worker processes for path-table precompute (Tables II-IV) "
+        "and for saturation-grid cells (Figures 7-10); results are the "
+        "same for any count (default: 1)",
     )
     parser.add_argument(
         "--path-store",

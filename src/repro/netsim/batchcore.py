@@ -116,10 +116,10 @@ def lane_vc_count(
 
     All lanes of one batch share a buffer layout, so the saturation
     search groups jobs by ``(path cache, lane_vc_count(...))`` before
-    packing them into batches.  Assumes the cache is already warmed for the traffic
-    the lanes carry (the grid warms every pattern's pairs up front);
-    construction of the probe mechanism touches neither the cache nor
-    the metrics registry.
+    packing them into batches.  Reads the cache as it stands;
+    :class:`BatchSimulator` calls it once every lane has warmed the
+    cache.  Construction of the probe mechanism touches neither the
+    cache nor the metrics registry.
     """
     mech = make_mechanism(
         mechanism,
@@ -207,25 +207,25 @@ class BatchSimulator:
         # Simulator.__init__ calls: warm the cache for the lane's traffic
         # (counting hits/misses exactly as the serial engine's precompute
         # does — the registry side of those counts is captured per lane
-        # and replayed at publish time), then derive the VC count from
-        # the store the lane would have seen.
+        # and replayed at publish time), then derive the VC counts from
+        # the store every lane has warmed.
         self.rngs: List[np.random.Generator] = []
         self._rates: List[float] = []
         self._traffics = []
         self._pre_snaps: List[dict] = []
         self._mech_names: List[str] = []
-        n_vcs_per_lane: List[int] = []
         for lane in self.lanes:
             with metrics.capture() as mreg:
                 paths.precompute(lane.traffic.switch_pairs(topology))
             self._pre_snaps.append(mreg.snapshot())
-            n_vcs_per_lane.append(
-                lane_vc_count(topology, paths, lane.mechanism, config)
-            )
             self.rngs.append(ensure_rng(lane.seed))
             self._rates.append(float(lane.injection_rate))
             self._traffics.append(lane.traffic)
             self._mech_names.append(lane.mechanism)
+        n_vcs_per_lane = [
+            lane_vc_count(topology, paths, lane.mechanism, config)
+            for lane in self.lanes
+        ]
         if len(set(n_vcs_per_lane)) != 1:
             raise ConfigurationError(
                 "lanes disagree on the VC count "

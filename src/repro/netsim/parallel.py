@@ -1,27 +1,28 @@
-"""Process-parallel simulation sweeps.
+"""Process-parallel saturation grids.
 
 The cycle-level experiments are embarrassingly parallel across
 (scheme, mechanism, pattern, rate) cells, and each cell is seconds to
 minutes of pure-Python work, so a process pool gives near-linear speedup
-on a multicore machine.  This module runs a *grid* of saturation sweeps in
-parallel:
+on a multicore machine.  :func:`run_cells` runs every saturation grid
+(:func:`run_saturation_grid`, Figures 7-10) in parallel:
 
-- the topology document and the warmed per-scheme path tables are shipped
-  **once per worker** through the pool initializer — not once per task —
-  so task tuples stay a few hundred bytes and the pool's IPC cost is
-  independent of the grid size (Yen's algorithm still runs once, in the
-  parent);
-- each grid cell gets an independent, deterministic random stream derived
-  from (master seed, cell index), so results are identical whatever the
-  worker count, chunking, or completion order — including ``processes=1``,
-  which runs inline and is what the test suite exercises deterministically.
+- the topology document, the patterns and the warmed per-scheme path
+  tables are shipped **once per worker** through the pool initializer —
+  not once per task — so task tuples stay a few hundred bytes and the
+  pool's IPC cost is independent of the grid size (Yen's algorithm still
+  runs once, in the parent);
+- each grid cell carries its own deterministic seed, so results are
+  identical whatever the worker count, chunking, or completion order —
+  including ``processes=1``, which runs inline and is what the test suite
+  exercises deterministically.
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,8 +42,9 @@ from repro.obs.progress import Progress
 from repro.topology.jellyfish import Jellyfish
 from repro.topology.serialization import topology_from_dict, topology_to_dict
 from repro.traffic.patterns import Pattern
+from repro.utils.rng import SeedLike
 
-__all__ = ["GridCell", "run_saturation_grid"]
+__all__ = ["GridCell", "run_cells", "run_saturation_grid"]
 
 
 @dataclass(frozen=True)
@@ -55,47 +57,48 @@ class GridCell:
     throughput: float
 
 
-# Per-worker state built once by the pool initializer: the rebuilt topology
-# and one warmed PathCache per scheme, plus the parent's capture-layer
-# configurations (``repro.obs.layers.active_configs``); cells run under
-# fresh recorders built from them and ship their snapshots home for
-# merging.  ``_GRID_HB`` holds the live monitor's worker-side heartbeater
-# (fed by the parent's Manager queue, or its ``post`` callable inline).
-_GRID_STATE: List[Optional[Tuple[Jellyfish, Dict[str, PathCache]]]] = [None]
-_GRID_CFGS: List[Dict[str, dict]] = [{}]
-_GRID_HB: List[Optional[obs_monitor.Heartbeater]] = [None]
+#: One grid cell to run: (scheme, mechanism, pattern index, search seed).
+Cell = Tuple[str, str, int, SeedLike]
+
+# Per-worker state built once by the pool initializer: the rebuilt topology,
+# one warmed PathCache per scheme, the patterns, the ladder, the sim config,
+# the parent's capture-layer configurations
+# (``repro.obs.layers.active_configs``; cells run under fresh recorders
+# built from them and ship their snapshots home for merging) and the live
+# monitor's worker-side heartbeater (fed by the parent's Manager queue, or
+# its ``post`` callable inline).
+_GRID_STATE: List[Optional[tuple]] = [None]
 
 #: One grid cell's result: the cell plus ``{layer: snapshot}`` of every
 #: capture layer on, or ``None`` when all are off.
 CellResult = Tuple[GridCell, Optional[Dict[str, dict]]]
 
 
-def _grid_init(
-    topo_doc, k, cache_seed, states, cfgs=None, mon_sink=None
-) -> None:
+def _grid_init(topo_doc, specs, states, patterns, rates, config, cfgs, mon_sink) -> None:
     """Pool initializer: rebuild the topology and warmed caches once.
 
-    ``states`` maps scheme -> a :class:`PathArena` (inline runs) or a
-    shared-memory descriptor dict from ``PathArena.to_shm`` (pool workers
-    attach the parent's block zero-copy).
+    ``specs`` maps scheme -> the cache's ``(k, seed)``, and ``states``
+    maps scheme -> a :class:`PathArena` (inline runs) or a shared-memory
+    descriptor dict from ``PathArena.to_shm`` (pool workers attach the
+    parent's block zero-copy).
     """
     import os
 
     topology = topology_from_dict(topo_doc)
     caches: Dict[str, PathCache] = {}
     for scheme, state in states.items():
-        cache = PathCache(topology, scheme, k=k, seed=cache_seed)
+        k, seed = specs[scheme]
+        cache = PathCache(topology, scheme, k=k, seed=seed)
         if isinstance(state, PathArena):
             cache.attach_arena(state)
         else:
             cache.attach_arena(PathArena.from_shm(state))
         caches[scheme] = cache
-    _GRID_STATE[0] = (topology, caches)
-    _GRID_CFGS[0] = dict(cfgs or {})
-    _GRID_HB[0] = (
+    hb = (
         obs_monitor.Heartbeater(mon_sink, worker=os.getpid())
         if mon_sink is not None else None
     )
+    _GRID_STATE[0] = (topology, caches, patterns, rates, config, cfgs, hb)
 
 
 def _ship_states(caches: Dict[str, PathCache], processes: int):
@@ -122,7 +125,7 @@ def _ship_states(caches: Dict[str, PathCache], processes: int):
     return states, shms
 
 
-def _run_cell_batch(chunk) -> List[CellResult]:
+def _run_cell_batch(chunk: Sequence[Cell]) -> List[CellResult]:
     """Worker: run a chunk of grid cells' searches against the
     initializer's state.
 
@@ -138,22 +141,15 @@ def _run_cell_batch(chunk) -> List[CellResult]:
     and chunking.  Returns ``(cell, snapshots or None)`` per cell, in
     chunk order.
     """
-    topology, caches = _GRID_STATE[0]
+    topology, caches, patterns, rates, config, cfgs, hb = _GRID_STATE[0]
     jobs = [
-        (
-            caches[scheme], mechanism,
-            PatternTraffic(Pattern("grid", n_hosts, flows)),
-            np.random.SeedSequence(cell_seed),
-        )
-        for scheme, mechanism, _, flows, n_hosts, _, _, cell_seed in chunk
+        (caches[scheme], mechanism, PatternTraffic(patterns[i]), seed)
+        for scheme, mechanism, i, seed in chunk
     ]
-    results = search_saturation(
-        topology, jobs, chunk[0][5], chunk[0][6], _GRID_CFGS[0], _GRID_HB[0]
-    )
+    results = search_saturation(topology, jobs, rates, config, cfgs, hb)
     return [
-        (GridCell(scheme, mechanism, pattern_index, th), snaps)
-        for (scheme, mechanism, pattern_index, *_), (th, _, snaps)
-        in zip(chunk, results)
+        (GridCell(scheme, mechanism, i, th), snaps)
+        for (scheme, mechanism, i, _), (th, _, snaps) in zip(chunk, results)
     ]
 
 
@@ -174,33 +170,27 @@ def _chunk_size(n_tasks: int, processes: int, lanes: int) -> int:
     return max(1, n_tasks // (4 * processes))
 
 
-def run_saturation_grid(
+def run_cells(
     topology: Jellyfish,
-    schemes: Sequence[str],
-    mechanisms: Sequence[str],
+    caches: Mapping[str, PathCache],
     patterns: Sequence[Pattern],
-    *,
-    k: int = 8,
+    chunks: Sequence[Sequence[Cell]],
     rates: Sequence[float],
-    config: SimConfig = SimConfig(),
-    seed: int = 0,
+    config: SimConfig,
     processes: int = 1,
 ) -> Dict[Tuple[str, str], float]:
-    """Saturation throughput for every (scheme, mechanism) pair, averaged
-    over ``patterns``, running cells across ``processes`` workers.
+    """Run a grid's chunks of cells on ``processes`` workers.
 
-    Returns ``{(scheme, mechanism): mean saturation throughput}``.
+    ``caches`` holds one path cache per scheme, warmed here for every
+    pattern before any cell runs; workers rebuild each with its own ``k``
+    and seed.  A chunk is one ``search_saturation`` job list, so only its
+    cells can share a batch.  Each cell's telemetry merges home in cell
+    order.  Returns ``{(scheme, mechanism): mean saturation throughput}``.
     """
     if processes < 1:
         raise ConfigurationError(f"processes must be >= 1, got {processes}")
-    if not schemes or not mechanisms or not patterns:
-        raise ConfigurationError("schemes, mechanisms and patterns must be non-empty")
-
-    topo_doc = topology_to_dict(topology)
-    # Warm one cache per scheme in the parent — only the pairs the
-    # patterns actually touch (on-demand) — then ship the flat arena to
-    # the workers.
-    caches: Dict[str, PathCache] = {}
+    # Warm only the pairs the patterns touch, in the parent, then ship
+    # the flat arenas to the workers.
     pair_lists = [
         sorted(
             {
@@ -210,48 +200,36 @@ def run_saturation_grid(
         )
         for p in patterns
     ]
-    for scheme in schemes:
-        cache = PathCache(topology, scheme, k=k, seed=seed)
+    for cache in caches.values():
         for pairs in pair_lists:
             cache.precompute(pairs)
-        caches[scheme] = cache
+    specs = {scheme: (cache.k, cache.seed) for scheme, cache in caches.items()}
     states, shms = _ship_states(caches, processes)
 
-    tasks = []
-    cell = 0
-    for scheme in schemes:
-        for mechanism in mechanisms:
-            for i, pattern in enumerate(patterns):
-                tasks.append(
-                    (
-                        scheme, mechanism, i, pattern.flows, pattern.n_hosts,
-                        tuple(rates), config, (seed, cell),
-                    )
-                )
-                cell += 1
-
-    progress = Progress(len(tasks), "saturation-grid")
+    n_cells = sum(len(chunk) for chunk in chunks)
+    progress = Progress(n_cells, "saturation-grid")
     mon = obs_monitor.active()
     if mon is not None:
-        mon.begin("saturation-grid", len(tasks))
+        mon.begin("saturation-grid", n_cells)
     # Inline runs feed the monitor through its ``post`` callable; pool
     # workers get a Manager-queue proxy (picklable through initargs).
     sink = None
     if mon is not None:
         sink = mon.post if processes == 1 else mon.queue()
-    initargs = (topo_doc, k, seed, states, layers.active_configs(), sink)
-    cells: List[GridCell] = []
+    initargs = (
+        topology_to_dict(topology), specs, states, tuple(patterns), tuple(rates),
+        config, layers.active_configs(), sink,
+    )
+    out: Dict[Tuple[str, str], List[float]] = {}
 
     def _collect(cell_result: CellResult):
         cell, snaps = cell_result
-        cells.append(cell)
+        out.setdefault((cell.scheme, cell.mechanism), []).append(cell.throughput)
         layers.merge(snaps)
         progress.step()
         if mon is not None:
             mon.step()
 
-    size = _chunk_size(len(tasks), processes, config.batch_lanes)
-    chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
     try:
         if processes == 1:
             # Inline cells use the same per-cell capture-and-merge path as
@@ -264,8 +242,6 @@ def run_saturation_grid(
                         _collect(result)
             finally:
                 _GRID_STATE[0] = None
-                _GRID_CFGS[0] = {}
-                _GRID_HB[0] = None
         else:
             with ProcessPoolExecutor(
                 max_workers=processes, initializer=_grid_init, initargs=initargs,
@@ -282,7 +258,40 @@ def run_saturation_grid(
         if mon is not None:
             mon.finish()
 
-    out: Dict[Tuple[str, str], List[float]] = {}
-    for c in cells:
-        out.setdefault((c.scheme, c.mechanism), []).append(c.throughput)
     return {key: float(np.mean(vals)) for key, vals in out.items()}
+
+
+def run_saturation_grid(
+    topology: Jellyfish,
+    schemes: Sequence[str],
+    mechanisms: Sequence[str],
+    patterns: Sequence[Pattern],
+    *,
+    k: int = 8,
+    rates: Sequence[float],
+    config: SimConfig = SimConfig(),
+    seed: int = 0,
+    processes: int = 1,
+) -> Dict[Tuple[str, str], float]:
+    """Saturation throughput for every (scheme, mechanism) pair, averaged
+    over ``patterns``, running cells across ``processes`` workers.
+
+    Cell ``c`` in (scheme, mechanism, pattern) order searches with
+    ``SeedSequence((seed, c))`` on ``PathCache(topology, scheme, k, seed)``.
+    Returns ``{(scheme, mechanism): mean saturation throughput}``.
+    """
+    if processes < 1:
+        raise ConfigurationError(f"processes must be >= 1, got {processes}")
+    if not schemes or not mechanisms or not patterns:
+        raise ConfigurationError("schemes, mechanisms and patterns must be non-empty")
+
+    caches = {scheme: PathCache(topology, scheme, k=k, seed=seed) for scheme in schemes}
+    cells = [
+        (scheme, mechanism, i, np.random.SeedSequence((seed, c)))
+        for c, (scheme, mechanism, i) in enumerate(
+            itertools.product(schemes, mechanisms, range(len(patterns)))
+        )
+    ]
+    size = _chunk_size(len(cells), processes, config.batch_lanes)
+    chunks = [cells[i : i + size] for i in range(0, len(cells), size)]
+    return run_cells(topology, caches, patterns, chunks, rates, config, processes)

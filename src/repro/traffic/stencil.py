@@ -24,6 +24,7 @@ nothing from a trace beyond this (src, dst, bytes) multiset.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import TrafficError
@@ -109,8 +110,8 @@ def stencil_messages(
             f"unknown stencil {name!r}; choose from {sorted(STENCILS)}"
         ) from None
     check_positive_int(n_ranks, "n_ranks")
-    if total_bytes <= 0:
-        raise TrafficError(f"total_bytes must be > 0, got {total_bytes}")
+    if not (math.isfinite(total_bytes) and total_bytes > 0):
+        raise TrafficError(f"total_bytes must be finite and > 0, got {total_bytes}")
 
     if dims is None:
         shape = grid_dims(n_ranks, ndim)

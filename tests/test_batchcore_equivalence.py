@@ -39,11 +39,10 @@ import pytest
 
 from repro import Jellyfish, PathCache
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.figs_netsim import _cell_throughputs
 from repro.netsim import SimConfig, Simulator, UniformTraffic, PatternTraffic
 from repro.netsim.batchcore import BatchLane, BatchSimulator
 from repro.netsim.fastcore import FastSimulator
-from repro.netsim import sweep
+from repro.netsim import parallel, sweep
 from repro.netsim.parallel import run_saturation_grid
 from repro.obs import flowstats, layers, linkstate, metrics, timeseries, trace
 from repro.obs.trace import TraceAnalysis
@@ -316,6 +315,28 @@ class TestTracedGridFallback:
         assert traced_grid == plain_grid
 
 
+def _figure_cell(topo, cache, mechanism, patterns, rates, config, seeds):
+    """Per-pattern throughputs of one figure cell, run as ``run_fig`` runs
+    it: one :func:`~repro.netsim.parallel.run_cells` chunk holding the
+    cell's patterns, read from the results the runner's worker returns."""
+    throughputs = []
+    real = parallel._run_cell_batch
+
+    def recording(chunk):
+        results = real(chunk)
+        throughputs.extend(cell.throughput for cell, _ in results)
+        return results
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parallel, "_run_cell_batch", recording)
+        parallel.run_cells(
+            topo, {"redksp": cache}, patterns,
+            [[("redksp", mechanism, i, seed) for i, seed in enumerate(seeds)]],
+            rates, config,
+        )
+    return throughputs
+
+
 class TestFigureCellLanes:
     """A figure cell must write the same artifacts at every lane width.
 
@@ -339,7 +360,7 @@ class TestFigureCellLanes:
         if trace_sample is not None:
             trace.enable(sample=trace_sample)
         try:
-            throughputs = _cell_throughputs(
+            throughputs = _figure_cell(
                 topo, PathCache(topo, "redksp", k=4, seed=1), mechanism,
                 patterns, rates,
                 SimConfig(**CYCLES, **knobs, batch_lanes=batch_lanes), seeds,
@@ -431,7 +452,7 @@ class TestFigureCellLanes:
         # the fast engine; the cell must not take the batched path.
         topo = _topo()
         with metrics.capture() as reg:
-            _cell_throughputs(
+            _figure_cell(
                 topo, PathCache(topo, "redksp", k=4, seed=1), "ksp_adaptive",
                 [random_permutation(topo.n_hosts, seed=5)], (0.3, 0.6),
                 SimConfig(**CYCLES, batch_lanes=8),

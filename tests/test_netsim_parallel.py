@@ -10,10 +10,19 @@ import pytest
 from repro import Jellyfish, PathCache
 from repro.core.path import Path, PathSet
 from repro.errors import ConfigurationError
-from repro.netsim import SimConfig, run_saturation_grid, sweep
+from repro.experiments import figs_netsim
+from repro.experiments.presets import TopoSpec
+from repro.netsim import (
+    PatternTraffic,
+    SimConfig,
+    run_saturation_grid,
+    saturation_throughput,
+    sweep,
+)
 from repro.obs import flowstats, layers, linkstate, metrics
 from repro.obs import timeseries as obs_timeseries
-from repro.traffic import random_permutation, shift
+from repro.traffic import random_permutation, random_shift, shift
+from repro.utils.rng import spawn_rngs
 
 TINY = SimConfig(warmup_cycles=50, sample_cycles=50, n_samples=2)
 
@@ -290,3 +299,98 @@ class TestThreeRungGrid:
             for name, path in saved.items()
         }
         assert digests == self.SHA
+
+
+#: A tiny Figure 7-10 preset: two schemes, all five mechanisms, three
+#: patterns per cell, 8-lane packs, a four-rung ladder, a short budget.
+TINY_FIG = {
+    "topo": TopoSpec(8, 8, 5),
+    "k": 3,
+    "n_patterns": 3,
+    "rates": (0.2, 0.4, 0.6, 0.8),
+    "config": SimConfig(
+        warmup_cycles=40, sample_cycles=40, n_samples=2,
+        saturation_latency=40.0, batch_lanes=8,
+    ),
+    "schemes": ("ksp", "redksp"),
+    "mechanisms": ("random", "round_robin", "ugal", "ksp_ugal", "ksp_adaptive"),
+}
+
+
+class TestFigureGrid:
+    """``run_fig`` hands its cells to ``run_cells``, one chunk per
+    (scheme, mechanism) cell, and keeps its seeds."""
+
+    FIGURE = 9
+
+    @pytest.fixture(autouse=True)
+    def tiny_preset(self, monkeypatch):
+        monkeypatch.setattr(figs_netsim, "netsim_preset", lambda s, f: TINY_FIG)
+
+    def _fig(self, processes, tmp_path):
+        obs_timeseries.enable(window=30)
+        linkstate.enable(window=30)
+        flowstats.enable()
+        out = tmp_path / f"p{processes}"
+        try:
+            result = figs_netsim.run_fig(self.FIGURE, "small", 0, processes)
+            saved = [
+                obs_timeseries.save_timeseries(out / "f.ts.npz"),
+                linkstate.save_linkstate(out / "f.ls.npz"),
+                flowstats.save_flowstats(out / "f.fs.npz"),
+            ]
+        finally:
+            layers.disable_all()
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in saved]
+        return result, digests
+
+    def test_pool_matches_inline(self, tmp_path):
+        inline, inline_digests = self._fig(1, tmp_path)
+        pooled, pooled_digests = self._fig(2, tmp_path)
+        assert pooled.data == inline.data
+        assert pooled.rows == inline.rows
+        assert pooled_digests == inline_digests
+
+    def test_cells_keep_the_figures_seeds(self):
+        # Lone searches on the figure's cache seeds and cell seeds.
+        topo_rng, *pat_rngs = spawn_rngs(0, TINY_FIG["n_patterns"] + 1)
+        spec = TINY_FIG["topo"]
+        topo = Jellyfish(spec.n, spec.x, spec.y, seed=topo_rng)
+        traffics = [
+            PatternTraffic(random_shift(topo.n_hosts, seed=rng))
+            for rng in pat_rngs
+        ]
+        expected = {}
+        for si, scheme in enumerate(TINY_FIG["schemes"]):
+            cache = PathCache(
+                topo, scheme, k=TINY_FIG["k"], seed=int(topo_rng.integers(2**31))
+            )
+            for traffic in traffics:
+                cache.precompute(traffic.switch_pairs(topo))
+            expected[scheme] = {}
+            for mi, mech in enumerate(TINY_FIG["mechanisms"]):
+                values = [
+                    saturation_throughput(
+                        topo, cache, mech, traffic, TINY_FIG["rates"],
+                        TINY_FIG["config"],
+                        np.random.SeedSequence(
+                            entropy=self.FIGURE, spawn_key=(si, mi, i)
+                        ),
+                    )[0]
+                    for i, traffic in enumerate(traffics)
+                ]
+                expected[scheme][mech] = float(np.mean(values))
+        assert figs_netsim.run_fig(self.FIGURE, "small", 0).data == expected
+
+    def test_packs_hold_one_cell(self, monkeypatch):
+        packs = []
+        real = sweep.BatchSimulator
+
+        def recording(topology, cache, lanes, config):
+            packs.append((cache.selector.name, {lane.mechanism for lane in lanes}))
+            return real(topology, cache, lanes, config)
+
+        monkeypatch.setattr(sweep, "BatchSimulator", recording)
+        figs_netsim.run_fig(self.FIGURE, "small", 0, processes=1)
+        assert packs
+        assert all(len(mechanisms) == 1 for _, mechanisms in packs)

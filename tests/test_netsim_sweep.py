@@ -1,5 +1,6 @@
 """Unit tests for the sweep module's protocol details."""
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ from repro.netsim.sweep import (
     check_ladder,
     search_saturation,
 )
-from repro.traffic import random_permutation
+from repro.traffic import Pattern, random_permutation
 
 TINY = SimConfig(warmup_cycles=50, sample_cycles=50, n_samples=2)
 
@@ -221,6 +222,46 @@ class TestSearchSaturation:
             assert [repr(p.result) for p in points] == [
                 repr(p.result) for p in alone_points
             ]
+
+    @pytest.mark.parametrize("topo_seed", [0, 1])
+    def test_lanes_on_a_cold_cache_agree_on_their_vc_count(
+        self, topo_seed, monkeypatch
+    ):
+        # One flow to a neighbour switch reaches shorter paths than a
+        # permutation.  On a cold cache both lanes must derive their VC
+        # count once both have warmed it, and read what they read alone.
+        topo = Jellyfish(16, 8, 5, seed=topo_seed)
+        one_flow = Pattern(
+            "one", topo.n_hosts,
+            ((0, topo.hosts_per_switch * topo.adjacency[0][0]),),
+        )
+        patterns = [one_flow, random_permutation(topo.n_hosts, seed=0)]
+        packs = []
+        real = sweep.BatchSimulator
+
+        def recording(topology, cache, lanes, config):
+            packs.append(len(lanes))
+            return real(topology, cache, lanes, config)
+
+        monkeypatch.setattr(sweep, "BatchSimulator", recording)
+
+        def search(lanes):
+            cache = PathCache(topo, "ksp", k=4, seed=0)
+            jobs = [
+                (cache, "ksp_adaptive", PatternTraffic(p),
+                 np.random.SeedSequence(i))
+                for i, p in enumerate(patterns)
+            ]
+            config = dataclasses.replace(TINY, batch_lanes=lanes)
+            return [
+                (th, [repr(p.result) for p in points])
+                for th, points, _ in search_saturation(
+                    topo, jobs, (0.3, 0.6), config, {}
+                )
+            ]
+
+        assert search(8) == search(1)
+        assert packs and all(n == 2 for n in packs)
 
 
 #: Every saturated-flag pattern of ladders of 1 to 10 rungs.

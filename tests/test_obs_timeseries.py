@@ -371,30 +371,26 @@ def test_parallel_grid_timeseries_byte_identical_to_serial(topo, tmp_path):
     assert digests[1] == digests[2]
 
 
-def test_grid_without_timeseries_still_returns_four_none(topo):
+def test_grid_without_timeseries_still_returns_four_none(topo, monkeypatch):
     # With every capture layer off a cell ships (cell, None): no snapshots.
-    from repro.core.arena import PathArena
     from repro.netsim import parallel
-    from repro.topology.serialization import topology_to_dict
 
     pattern = random_permutation(topo.n_hosts, seed=0)
     cache = PathCache(topo, "ksp", k=2, seed=9)
-    pairs = sorted({
-        (topo.switch_of_host(s), topo.switch_of_host(d)) for s, d in pattern.flows
-    })
-    cache.precompute(pairs)
-    parallel._grid_init(
-        topology_to_dict(topo), 2, 9, {"ksp": PathArena.from_cache(cache)},
+    shipped = []
+    real = parallel._run_cell_batch
+
+    def recording(chunk):
+        results = real(chunk)
+        shipped.extend(results)
+        return results
+
+    monkeypatch.setattr(parallel, "_run_cell_batch", recording)
+    cfg = SimConfig(warmup_cycles=20, sample_cycles=20, n_samples=1)
+    parallel.run_cells(
+        topo, {"ksp": cache}, [pattern],
+        [[("ksp", "random", 0, np.random.SeedSequence((9, 0)))]], (0.2,), cfg,
     )
-    try:
-        cfg = SimConfig(warmup_cycles=20, sample_cycles=20, n_samples=1)
-        [(cell, snaps)] = parallel._run_cell_batch(
-            [("ksp", "random", 0, pattern.flows, pattern.n_hosts,
-              (0.2,), cfg, (9, 0))]
-        )
-        assert snaps is None
-        assert cell.scheme == "ksp"
-    finally:
-        parallel._GRID_STATE[0] = None
-        parallel._GRID_CFGS[0] = {}
-        parallel._GRID_HB[0] = None
+    [(cell, snaps)] = shipped
+    assert snaps is None
+    assert cell.scheme == "ksp"

@@ -93,9 +93,12 @@ class TestStencilMessages:
         with pytest.raises(TrafficError, match="unknown stencil"):
             stencil_messages("5dnn", 32)
 
-    def test_bad_bytes(self):
-        with pytest.raises(TrafficError):
-            stencil_messages("2dnn", 16, total_bytes=0)
+    @pytest.mark.parametrize(
+        "total_bytes", [0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_bad_bytes(self, total_bytes):
+        with pytest.raises(TrafficError, match=str(total_bytes)):
+            stencil_messages("2dnn", 16, total_bytes=total_bytes)
 
 
 class TestMappings:
