@@ -10,7 +10,10 @@ With ``--telemetry-dir DIR`` every experiment run additionally produces:
   or ``$REPRO_RUN_LEDGER``, else ``run-ledger.jsonl`` next to the
   manifests) — the input of ``python -m repro.experiments runs``;
 - an ASCII summary on stdout: the stage-timing table and, for simulator
-  experiments, the per-scheme link-load-imbalance report.
+  experiments, the per-scheme link-load-imbalance report;
+- one ``.npz`` artifact per capture layer turned on by its flag
+  (:data:`CAPTURE_FLAGS`) that recorded something, named by
+  :func:`repro.obs.layers.artifact_name`.
 """
 
 from __future__ import annotations
@@ -22,14 +25,10 @@ from pathlib import Path
 from typing import Callable, Dict
 
 from repro.errors import ConfigurationError
-from repro.obs import flowstats as obs_flowstats
 from repro.obs import layers
-from repro.obs import linkstate as obs_linkstate
 from repro.obs import log as obs_log
 from repro.obs import metrics
 from repro.obs import monitor as obs_monitor
-from repro.obs import timeseries as obs_timeseries
-from repro.obs import trace as obs_trace
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.experiments.base import ExperimentResult
 from repro.experiments.ext_failures import run as run_ext_failures
@@ -41,7 +40,7 @@ from repro.experiments.table1 import run as run_table1
 from repro.experiments.tables234 import run_table2, run_table3, run_table4
 from repro.experiments.tables_stencil import run_table5, run_table6
 
-__all__ = ["EXPERIMENTS", "run_experiment", "main"]
+__all__ = ["EXPERIMENTS", "CAPTURE_FLAGS", "run_experiment", "main"]
 
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "table1": run_table1,
@@ -69,6 +68,24 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 PAPER_EXPERIMENTS = tuple(
     name for name in EXPERIMENTS if not name.startswith("ext_")
 )
+
+
+#: The artifact-writing capture layers the CLI drives, in registry order:
+#: (layer, flag, ``args`` attribute, the ``enable`` keyword the flag's
+#: value feeds or ``None`` for a switch, the snapshot count that is 0
+#: when the layer recorded nothing and so writes no file).
+CAPTURE_FLAGS = (
+    ("trace", "--trace-sample", "trace_sample", "sample", "n_packets"),
+    ("timeseries", "--timeseries-window", "timeseries_window", "window", "n_windows"),
+    ("linkstate", "--linkstate", "linkstate", "window", "n_windows"),
+    ("flowstats", "--flowstats", "flowstats", None, "n_runs"),
+)
+
+#: The next command for a saved layer's artifacts, printed after its path.
+_HINTS = {
+    "linkstate": "# inspect it: python -m repro.experiments inspect",
+    "flowstats": "# flow SLOs:  python -m repro.experiments flows",
+}
 
 
 def run_experiment(
@@ -254,28 +271,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     obs_log.set_level(args.log_level)
+    # Every id is checked before the first experiment runs, so a typo in
+    # the last one cannot cost the runs before it.
+    unknown = [n for n in args.experiment if n != "all" and n not in EXPERIMENTS]
+    if unknown:
+        parser.error(
+            f"unknown experiment {', '.join(map(repr, unknown))}; choose "
+            f"from {', '.join(sorted(EXPERIMENTS))}, or 'all'"
+        )
     if args.processes < 1:
         parser.error("--processes must be >= 1")
     if args.seed < 0:
         parser.error("--seed must be >= 0")
     telemetry_dir = Path(args.telemetry_dir) if args.telemetry_dir else None
-    if args.trace_sample is not None:
-        if args.trace_sample < 1:
-            parser.error("--trace-sample must be >= 1")
+    capture: Dict[str, dict] = {}  # layer -> enable keywords
+    for layer, flag, attr, param, _ in CAPTURE_FLAGS:
+        value = getattr(args, attr)
+        if value is None or value is False:
+            continue
+        if param is not None and value < 1:
+            parser.error(f"{flag} must be >= 1")
         if telemetry_dir is None:
-            parser.error("--trace-sample requires --telemetry-dir")
-    if args.timeseries_window is not None:
-        if args.timeseries_window < 1:
-            parser.error("--timeseries-window must be >= 1")
-        if telemetry_dir is None:
-            parser.error("--timeseries-window requires --telemetry-dir")
-    if args.linkstate is not None:
-        if args.linkstate < 1:
-            parser.error("--linkstate window must be >= 1")
-        if telemetry_dir is None:
-            parser.error("--linkstate requires --telemetry-dir")
-    if args.flowstats and telemetry_dir is None:
-        parser.error("--flowstats requires --telemetry-dir")
+            parser.error(f"{flag} requires --telemetry-dir")
+        capture[layer] = {param: value} if param else {}
     if args.profile and telemetry_dir is None:
         parser.error("--profile requires --telemetry-dir")
     if args.run_ledger is not None and telemetry_dir is None:
@@ -303,14 +321,8 @@ def main(argv=None) -> int:
                 # A fresh registry (and recorder) per experiment keeps each
                 # manifest's snapshot scoped to its own run.
                 metrics.enable()
-                if args.trace_sample is not None:
-                    obs_trace.enable(sample=args.trace_sample)
-                if args.timeseries_window is not None:
-                    obs_timeseries.enable(window=args.timeseries_window)
-                if args.linkstate is not None:
-                    obs_linkstate.enable(window=args.linkstate)
-                if args.flowstats:
-                    obs_flowstats.enable()
+                for layer, kwargs in capture.items():
+                    layers.LAYERS[layer].enable(**kwargs)
                 obs_log.open_jsonl(
                     telemetry_dir / f"{name}-{args.scale}.events.jsonl"
                 )
@@ -361,22 +373,27 @@ def main(argv=None) -> int:
 def _emit_telemetry(
     name: str, args, wall: float, telemetry_dir: Path, profiler=None
 ) -> None:
-    """Write the run manifest (and trace/time series), print the summary."""
+    """Save the capture layers, write the run manifest, print the summary."""
     from repro.report import link_load_report, stage_timing_table
 
+    saved = _save_layers(name, args, telemetry_dir)
     steady_report = None
-    ts_path = None
-    if args.timeseries_window is not None:
-        steady_report, ts_path = _emit_timeseries(name, args, telemetry_dir)
-    ls_path = None
-    if args.linkstate is not None:
-        ls_path = _emit_linkstate(name, args, telemetry_dir)
-    # Flowstats must land before the metrics snapshot: the derived SLO
-    # gauges (fairness, worst-pair p99) are stamped into the still-active
-    # registry so they reach the manifest and the ledger.
-    fs_path = None
-    if args.flowstats:
-        fs_path = _emit_flowstats(name, args, telemetry_dir)
+    if "timeseries" in saved:
+        from repro.obs.timeseries import steady_state_report
+
+        steady_report = steady_state_report(saved["timeseries"][1])
+    if "flowstats" in saved:
+        # The derived SLO gauges (fairness, worst-pair p99) go into the
+        # still-active registry, before its snapshot below, so they
+        # reach the manifest and the ledger.
+        from repro.obs.fairness import snapshot_gauges
+
+        reg = metrics.active()
+        if reg is not None:
+            gauges = snapshot_gauges(saved["flowstats"][1])
+            for gname, value in sorted(gauges.items()):
+                g = reg.gauge(gname)
+                g.set(max(g.value, value))
     profile_path = None
     if profiler is not None:
         profile_path = _emit_profile(name, args, telemetry_dir, profiler)
@@ -422,22 +439,12 @@ def _emit_telemetry(
             f"check_windows={steady_report['check_windows']}, "
             f"rel_tol={steady_report['rel_tol']})"
         )
-    if args.trace_sample is not None:
-        _emit_trace(name, args, telemetry_dir)
-    if ts_path is not None:
-        print(f"# timeseries: {ts_path}")
-    if ls_path is not None:
-        print(f"# linkstate: {ls_path}")
-        print(
-            f"# inspect it: python -m repro.experiments inspect "
-            f"{telemetry_dir}"
-        )
-    if fs_path is not None:
-        print(f"# flowstats: {fs_path}")
-        print(
-            f"# flow SLOs:  python -m repro.experiments flows "
-            f"{telemetry_dir}"
-        )
+    if "trace" in saved:
+        _print_trace_tables(saved["trace"][1])
+    for layer, (layer_path, _) in saved.items():
+        print(f"# {layer + ':':<9} {layer_path}")
+        if layer in _HINTS:
+            print(f"{_HINTS[layer]} {telemetry_dir}")
     if profile_path is not None:
         print(f"# profile:  {profile_path}")
     print(f"# manifest: {path}")
@@ -496,92 +503,39 @@ def _emit_profile(name: str, args, telemetry_dir: Path, profiler) -> Path:
     return profile_path
 
 
-def _emit_timeseries(name: str, args, telemetry_dir: Path):
-    """Persist the window buffers; return (steady report, path or None)."""
-    from repro.obs.timeseries import save_timeseries, steady_state_report
+def _save_layers(name: str, args, telemetry_dir: Path) -> Dict[str, tuple]:
+    """Snapshot, turn off and save every capture layer the flags enabled.
 
-    snap = obs_timeseries.snapshot()
-    obs_timeseries.disable()
-    if snap is None or not snap["n_windows"]:
-        return None, None
-    ts_path = telemetry_dir / f"{name}-{args.scale}.timeseries.npz"
-    save_timeseries(ts_path, snap)
-    report = steady_state_report(snap)
-    obs_log.info(
-        "timeseries_written",
-        experiment=name,
-        path=str(ts_path),
-        runs=int(snap["n_runs"]),
-        windows=int(snap["n_windows"]),
-        warmup_sufficient=int(report["n_warmup_sufficient"]),
-        warmup_undetermined=int(report["n_undetermined"]),
-    )
-    return report, ts_path
-
-
-def _emit_linkstate(name: str, args, telemetry_dir: Path):
-    """Persist the dense link-state matrices; return the path or None."""
-    from repro.obs.linkstate import save_linkstate
-
-    snap = obs_linkstate.snapshot()
-    obs_linkstate.disable()
-    if snap is None or not snap["n_windows"]:
-        return None
-    ls_path = telemetry_dir / f"{name}-{args.scale}.linkstate.npz"
-    save_linkstate(ls_path, snap)
-    obs_log.info(
-        "linkstate_written",
-        experiment=name,
-        path=str(ls_path),
-        runs=int(snap["n_runs"]),
-        windows=int(snap["n_windows"]),
-    )
-    return ls_path
-
-
-def _emit_flowstats(name: str, args, telemetry_dir: Path):
-    """Persist the per-pair flow record and stamp its derived SLO gauges.
-
-    Returns the artifact path, or None when nothing was recorded.  The
-    worst-run Jain index and worst pair p99 go into the *still-active*
-    registry so the manifest snapshot taken right after includes them.
+    A layer that recorded nothing writes no file.  Returns ``{layer:
+    (path, snapshot)}`` for the saved ones, in registry order.
     """
-    from repro.obs.fairness import snapshot_gauges
-    from repro.obs.flowstats import save_flowstats
-
-    snap = obs_flowstats.snapshot()
-    obs_flowstats.disable()
-    if snap is None or not snap["n_runs"]:
-        return None
-    fs_path = telemetry_dir / f"{name}-{args.scale}.flowstats.npz"
-    save_flowstats(fs_path, snap)
-    reg = metrics.active()
-    if reg is not None:
-        for gname, value in sorted(snapshot_gauges(snap).items()):
-            g = reg.gauge(gname)
-            g.set(max(g.value, value))
-    obs_log.info(
-        "flowstats_written",
-        experiment=name,
-        path=str(fs_path),
-        runs=int(snap["n_runs"]),
-        pairs=int(snap["n_pairs"]),
-    )
-    return fs_path
+    stem = f"{name}-{args.scale}"
+    saved = {}
+    for layer, _, _, _, count in CAPTURE_FLAGS:
+        module = layers.LAYERS[layer]
+        snap = module.snapshot()
+        module.disable()
+        if snap is None or not snap[count]:
+            continue
+        save = getattr(module, f"save_{layer}")
+        path = save(telemetry_dir / layers.artifact_name(stem, layer), snap)
+        saved[layer] = (path, snap)
+        obs_log.info(
+            f"{layer}_written",
+            experiment=name,
+            path=str(path),
+            **{k: int(v) for k, v in snap.items() if k.startswith("n_")},
+        )
+    return saved
 
 
-def _emit_trace(name: str, args, telemetry_dir: Path) -> None:
-    """Persist the flight-recorder buffers and print trace summaries."""
+def _print_trace_tables(snap) -> None:
+    """Print a flight-recorder snapshot's latency decomposition and
+    per-path traffic shares."""
     from repro.obs.trace import TraceAnalysis
     from repro.report import latency_decomposition_table, path_share_table
 
-    tsnap = obs_trace.snapshot()
-    if tsnap is None or not tsnap["n_packets"]:
-        obs_trace.disable()
-        return
-    trace_path = telemetry_dir / f"{name}-{args.scale}.trace.npz"
-    obs_trace.save_trace(trace_path, tsnap)
-    analysis = TraceAnalysis(tsnap)
+    analysis = TraceAnalysis(snap)
     decomp = analysis.latency_decomposition()
     if decomp:
         print()
@@ -590,12 +544,3 @@ def _emit_trace(name: str, args, telemetry_dir: Path) -> None:
     if shares:
         print()
         print(path_share_table(shares))
-    print(f"# trace:    {trace_path}")
-    obs_log.info(
-        "trace_written",
-        experiment=name,
-        path=str(trace_path),
-        packets=int(tsnap["n_packets"]),
-        events=int(tsnap["n_events"]),
-    )
-    obs_trace.disable()

@@ -13,8 +13,9 @@ on a multicore machine.  :func:`run_cells` runs every saturation grid
   runs once, in the parent);
 - each grid cell carries its own deterministic seed, so results are
   identical whatever the worker count, chunking, or completion order —
-  including ``processes=1``, which runs inline and is what the test suite
-  exercises deterministically.
+  including ``processes=1``, which runs inline on the caller's own
+  topology and caches and is what the test suite exercises
+  deterministically.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ class GridCell:
 #: One grid cell to run: (scheme, mechanism, pattern index, search seed).
 Cell = Tuple[str, str, int, SeedLike]
 
-# Per-worker state built once by the pool initializer: the rebuilt topology,
-# one warmed PathCache per scheme, the patterns, the ladder, the sim config,
+# Per-worker state set once per grid: the topology, one warmed PathCache
+# per scheme (rebuilt by a pool worker's initializer, the caller's own
+# inline), the patterns, the ladder, the sim config,
 # the parent's capture-layer configurations
 # (``repro.obs.layers.active_configs``; cells run under fresh recorders
 # built from them and ship their snapshots home for merging) and the live
@@ -74,26 +76,10 @@ _GRID_STATE: List[Optional[tuple]] = [None]
 CellResult = Tuple[GridCell, Optional[Dict[str, dict]]]
 
 
-def _grid_init(topo_doc, specs, states, patterns, rates, config, cfgs, mon_sink) -> None:
-    """Pool initializer: rebuild the topology and warmed caches once.
-
-    ``specs`` maps scheme -> the cache's ``(k, seed)``, and ``states``
-    maps scheme -> a :class:`PathArena` (inline runs) or a shared-memory
-    descriptor dict from ``PathArena.to_shm`` (pool workers attach the
-    parent's block zero-copy).
-    """
+def _set_grid_state(topology, caches, patterns, rates, config, cfgs, mon_sink) -> None:
+    """Install the state every cell of the grid runs against."""
     import os
 
-    topology = topology_from_dict(topo_doc)
-    caches: Dict[str, PathCache] = {}
-    for scheme, state in states.items():
-        k, seed = specs[scheme]
-        cache = PathCache(topology, scheme, k=k, seed=seed)
-        if isinstance(state, PathArena):
-            cache.attach_arena(state)
-        else:
-            cache.attach_arena(PathArena.from_shm(state))
-        caches[scheme] = cache
     hb = (
         obs_monitor.Heartbeater(mon_sink, worker=os.getpid())
         if mon_sink is not None else None
@@ -101,27 +87,38 @@ def _grid_init(topo_doc, specs, states, patterns, rates, config, cfgs, mon_sink)
     _GRID_STATE[0] = (topology, caches, patterns, rates, config, cfgs, hb)
 
 
-def _ship_states(caches: Dict[str, PathCache], processes: int):
-    """Package warmed caches for worker shipment.
+def _grid_init(topo_doc, specs, states, *grid_args) -> None:
+    """Pool initializer: rebuild the topology and warmed caches once.
 
-    Inline runs (``processes == 1``) hand the per-scheme
-    :class:`PathArena` straight to ``_grid_init``.  Pool runs move each
-    arena into a shared-memory block and ship only its ~200-byte
-    descriptor through the initializer, so workers map the parent's
-    tables zero-copy instead of unpickling per-pair ``PathSet`` objects.
-    Returns ``(states, shms)``; the caller must close and unlink every
-    block in ``shms`` after the pool has joined.
+    ``specs`` maps scheme -> the cache's ``(k, seed)``, and ``states``
+    maps scheme -> a shared-memory descriptor dict from
+    ``PathArena.to_shm`` (the worker attaches the parent's block
+    zero-copy).
     """
-    states: Dict[str, object] = {}
+    topology = topology_from_dict(topo_doc)
+    caches: Dict[str, PathCache] = {}
+    for scheme, state in states.items():
+        k, seed = specs[scheme]
+        cache = PathCache(topology, scheme, k=k, seed=seed)
+        cache.attach_arena(PathArena.from_shm(state))
+        caches[scheme] = cache
+    _set_grid_state(topology, caches, *grid_args)
+
+
+def _ship_states(caches: Mapping[str, PathCache]):
+    """Package warmed caches for a process pool.
+
+    Each scheme's tables move into a shared-memory block and only its
+    ~200-byte descriptor ships through the initializer, so workers map
+    the parent's tables zero-copy instead of unpickling per-pair
+    ``PathSet`` objects.  Returns ``(states, shms)``; the caller must
+    close and unlink every block in ``shms`` after the pool has joined.
+    """
+    states: Dict[str, dict] = {}
     shms: list = []
     for scheme, cache in caches.items():
-        arena = PathArena.from_cache(cache)
-        if processes == 1:
-            states[scheme] = arena
-        else:
-            shm, descriptor = arena.to_shm()
-            shms.append(shm)
-            states[scheme] = descriptor
+        shm, states[scheme] = PathArena.from_cache(cache).to_shm()
+        shms.append(shm)
     return states, shms
 
 
@@ -182,15 +179,17 @@ def run_cells(
     """Run a grid's chunks of cells on ``processes`` workers.
 
     ``caches`` holds one path cache per scheme, warmed here for every
-    pattern before any cell runs; workers rebuild each with its own ``k``
-    and seed.  A chunk is one ``search_saturation`` job list, so only its
-    cells can share a batch.  Each cell's telemetry merges home in cell
-    order.  Returns ``{(scheme, mechanism): mean saturation throughput}``.
+    pattern before any cell runs.  Inline cells run on these caches and
+    ``topology`` themselves; pool workers rebuild each cache with its own
+    ``k`` and seed.  A chunk is one ``search_saturation`` job list, so
+    only its cells can share a batch.  Each cell's telemetry merges home
+    in cell order.  Returns ``{(scheme, mechanism): mean saturation
+    throughput}``.
     """
     if processes < 1:
         raise ConfigurationError(f"processes must be >= 1, got {processes}")
-    # Warm only the pairs the patterns touch, in the parent, then ship
-    # the flat arenas to the workers.
+    # Warm only the pairs the patterns touch, in the parent; a pool then
+    # gets the flat arenas through shared memory.
     pair_lists = [
         sorted(
             {
@@ -203,8 +202,6 @@ def run_cells(
     for cache in caches.values():
         for pairs in pair_lists:
             cache.precompute(pairs)
-    specs = {scheme: (cache.k, cache.seed) for scheme, cache in caches.items()}
-    states, shms = _ship_states(caches, processes)
 
     n_cells = sum(len(chunk) for chunk in chunks)
     progress = Progress(n_cells, "saturation-grid")
@@ -216,9 +213,8 @@ def run_cells(
     sink = None
     if mon is not None:
         sink = mon.post if processes == 1 else mon.queue()
-    initargs = (
-        topology_to_dict(topology), specs, states, tuple(patterns), tuple(rates),
-        config, layers.active_configs(), sink,
+    grid_args = (
+        tuple(patterns), tuple(rates), config, layers.active_configs(), sink,
     )
     out: Dict[Tuple[str, str], List[float]] = {}
 
@@ -230,12 +226,13 @@ def run_cells(
         if mon is not None:
             mon.step()
 
+    shms: list = []
     try:
         if processes == 1:
             # Inline cells use the same per-cell capture-and-merge path as
             # the pool, so serial and parallel runs aggregate identical
             # telemetry.
-            _grid_init(*initargs)
+            _set_grid_state(topology, dict(caches), *grid_args)
             try:
                 for chunk in chunks:
                     for result in _run_cell_batch(chunk):
@@ -243,6 +240,9 @@ def run_cells(
             finally:
                 _GRID_STATE[0] = None
         else:
+            specs = {s: (cache.k, cache.seed) for s, cache in caches.items()}
+            states, shms = _ship_states(caches)
+            initargs = (topology_to_dict(topology), specs, states, *grid_args)
             with ProcessPoolExecutor(
                 max_workers=processes, initializer=_grid_init, initargs=initargs,
             ) as pool:

@@ -42,9 +42,9 @@ different implementations, so timing regressions are reported but
 Counters still gate as usual: all engine tiers are byte-equivalent, so
 counter drift across engines is a real reproducibility failure.
 
-Manifests from different schema versions refuse to diff with a clear
-:class:`~repro.errors.ComparisonError` rather than producing a silently
-meaningless comparison.
+Manifests from different schema versions, experiments or scales refuse
+to diff with a clear :class:`~repro.errors.ComparisonError` rather than
+producing a silently meaningless comparison; different seeds compare.
 """
 
 from __future__ import annotations
@@ -226,6 +226,16 @@ def _check_comparable(base: Mapping, new: Mapping) -> None:
             raise ComparisonError(
                 f"manifests are not comparable: {key} {a!r} != {b!r} "
                 "(regenerate the baseline with this package version)"
+            )
+    # Another experiment's or scale's baseline shares no timer with this
+    # run, so every row would land under "not in new manifest" and the
+    # gate would pass whatever the run did.  Seeds may differ.
+    for key in ("experiment", "scale"):
+        a, b = base.get(key), new.get(key)
+        if a != b:
+            raise ComparisonError(
+                f"manifests are not comparable: {key} {a!r} != {b!r} "
+                "(compare runs of the same experiment at the same scale)"
             )
 
 

@@ -505,15 +505,13 @@ def main(argv=None) -> int:
         return flow_docs(
             load_flowstats(path),
             name=stem,
-            linkstate=_sibling(
-                path.with_name(stem + ".linkstate.npz"), load_linkstate
-            ),
+            linkstate=_sibling(path, stem, "linkstate", load_linkstate),
             top=args.top,
             k=args.k,
         )
 
     return _cli(
-        args, prog="flows", suffix=".flowstats.npz", build=build,
+        args, prog="flows", layer="flowstats", build=build,
         text=lambda doc: _text(doc, f"flow-level SLOs [{doc['name']}]"),
         html=flowstats_html, tag="flow report",
     )

@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.obs import layers
 from repro.obs.linkstate import LINKSTATE_FORMAT, MATRIX_COLS, load_linkstate
 from repro.obs.timeseries import detect_convergence, load_timeseries, run_series
 from repro.obs.trace import load_trace
@@ -625,16 +626,14 @@ def main(argv=None) -> int:
         return deep_dive_docs(
             load_linkstate(path),
             name=stem,
-            trace=_sibling(path.with_name(stem + ".trace.npz"), load_trace),
-            timeseries=_sibling(
-                path.with_name(stem + ".timeseries.npz"), load_timeseries
-            ),
+            trace=_sibling(path, stem, "trace", load_trace),
+            timeseries=_sibling(path, stem, "timeseries", load_timeseries),
             top=args.top,
             depth=args.depth,
         )
 
     return _cli(
-        args, prog="inspect", suffix=".linkstate.npz", build=build,
+        args, prog="inspect", layer="linkstate", build=build,
         text=lambda doc: _text(doc, f"congestion forensics [{doc['name']}]"),
         html=forensics_html, tag="deep dive",
     )
@@ -644,7 +643,7 @@ def _cli(
     args: argparse.Namespace,
     *,
     prog: str,
-    suffix: str,
+    layer: str,
     build: Callable[[Path, str], dict],
     text: Callable[[Mapping], str],
     html: Callable[[Sequence[Mapping]], str],
@@ -652,12 +651,14 @@ def _cli(
 ) -> int:
     """The body the ``inspect`` and ``flows`` CLIs share.
 
-    Walks ``args.path`` for ``*<suffix>`` artifacts, builds each one's
+    Walks ``args.path`` for ``layer``'s artifacts (named by
+    :func:`repro.obs.layers.artifact_name`), builds each one's
     document once with ``build(path, stem)``, prints its ``text``
     rendering (narrowed to ``args.run``) and a blank line, and writes
     all documents' ``html`` page to ``args.html``.  An unusable artifact
     or ``--run`` prints ``<prog>: <why>`` and exits 2.
     """
+    suffix = layers.artifact_suffix(layer)
     root = Path(args.path)
     if root.is_file():
         files = [root]
@@ -687,9 +688,12 @@ def _cli(
     return 0
 
 
-def _sibling(path: Path, load: Callable[[Path], dict]) -> Optional[dict]:
-    """``load(path)`` of an optional sibling artifact, or ``None`` when
-    it is absent or unreadable."""
+def _sibling(
+    path: Path, stem: str, layer: str, load: Callable[[Path], dict]
+) -> Optional[dict]:
+    """``load`` of the optional ``layer`` artifact of run ``stem`` next to
+    ``path``, or ``None`` when it is absent or unreadable."""
+    path = path.with_name(layers.artifact_name(stem, layer))
     if not path.exists():
         return None
     try:

@@ -16,7 +16,14 @@ through this table instead of one by one::
     snaps = {name: rec.snapshot() for name, rec in recs.items()}
     layers.merge(snaps)                 # parent: fold home in task order
 
-A new layer is one module plus one :data:`LAYERS` entry.
+A layer that writes an artifact saves one snapshot per run to
+:func:`artifact_name` next to the run manifest; the experiment CLI
+names its runs ``<experiment>-<scale>``, and the ``inspect`` and
+``flows`` reports find their inputs and sibling files by the same rule.
+
+A new layer is one module plus one :data:`LAYERS` entry; the experiment
+CLI reaches it with one ``CAPTURE_FLAGS`` row in
+:mod:`repro.experiments.runner` and its flag.
 """
 
 from __future__ import annotations
@@ -26,7 +33,10 @@ from typing import Dict, Iterator, Mapping, Optional
 
 from repro.obs import flowstats, linkstate, metrics, timeseries, trace
 
-__all__ = ["LAYERS", "active_configs", "capture", "merge", "disable_all"]
+__all__ = [
+    "LAYERS", "active_configs", "artifact_name", "artifact_suffix", "capture",
+    "merge", "disable_all",
+]
 
 #: Every capture layer by name, in merge order.
 LAYERS = {
@@ -71,3 +81,14 @@ def disable_all() -> None:
     """Turn every capture layer off."""
     for layer in LAYERS.values():
         layer.disable()
+
+
+def artifact_suffix(layer: str) -> str:
+    """``.<layer>.npz``, the ending of every file ``layer`` is saved to."""
+    return f".{layer}.npz"
+
+
+def artifact_name(stem: str, layer: str) -> str:
+    """``<stem>.<layer>.npz``: the file the run named ``stem`` saves
+    ``layer``'s snapshot to."""
+    return stem + artifact_suffix(layer)

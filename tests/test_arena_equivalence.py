@@ -200,7 +200,7 @@ class TestGridShipping:
             {s: c.export_state() for s, c in caches.items()}
         )
 
-        states, shms = _ship_states(caches, processes=2)
+        states, shms = _ship_states(caches)
         try:
             blob = pickle.dumps(states)
             # The entire per-worker payload is a few hundred bytes of
@@ -221,17 +221,8 @@ class TestGridShipping:
                 shm.close()
                 shm.unlink()
 
-    def test_inline_ship_is_arena_backed(self):
-        topo = _topo()
-        caches = self._warm_caches(topo, ("ksp",), [(0, 1), (2, 3)])
-        states, shms = _ship_states(caches, processes=1)
-        assert shms == []
-        assert isinstance(states["ksp"], PathArena)
-        assert sorted(states["ksp"].pairs()) == [(0, 1), (2, 3)]
-
-    def test_grid_results_identical_inline_vs_pool(self):
-        topo = _topo()
-        kwargs = dict(
+    def _grid_kwargs(self, topo):
+        return dict(
             schemes=("redksp",),
             mechanisms=("sp", "ksp_adaptive"),
             patterns=[random_permutation(topo.n_hosts, seed=5)],
@@ -240,6 +231,25 @@ class TestGridShipping:
             config=SimConfig(warmup_cycles=40, sample_cycles=40, n_samples=1),
             seed=9,
         )
+
+    def test_inline_grid_runs_on_callers_caches(self, monkeypatch):
+        from repro.netsim import parallel
+
+        topo = _topo()
+        kwargs = self._grid_kwargs(topo)
+        pooled = run_saturation_grid(topo, processes=2, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an inline grid copied the caller's state")
+
+        # No arena copy of the caller's tables, no rebuilt topology.
+        monkeypatch.setattr(PathArena, "from_cache", refuse)
+        monkeypatch.setattr(parallel, "topology_from_dict", refuse)
+        assert run_saturation_grid(topo, processes=1, **kwargs) == pooled
+
+    def test_grid_results_identical_inline_vs_pool(self):
+        topo = _topo()
+        kwargs = self._grid_kwargs(topo)
         inline = run_saturation_grid(topo, processes=1, **kwargs)
         pooled = run_saturation_grid(topo, processes=2, **kwargs)
         assert inline == pooled

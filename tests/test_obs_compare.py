@@ -145,6 +145,27 @@ def test_cli_exit_two_on_schema_mismatch(tmp_path, capsys):
     assert "not comparable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, other", [("experiment", "table2"), ("scale", "medium")]
+)
+def test_cli_exit_two_on_other_experiment_or_scale(tmp_path, capsys, key, other):
+    doc = _manifest()
+    a = _write(tmp_path, "a.json", doc)
+    b = _write(tmp_path, "b.json", dict(doc, **{key: other}))
+    # Another run's baseline shares no timer, so every row would land
+    # under "not in new manifest" and the gate would pass unseen.
+    assert runner_main(["compare-runs", a, b]) == 2
+    err = capsys.readouterr().err
+    assert "not comparable" in err and key in err
+    with pytest.raises(ComparisonError, match=key):
+        compare_manifests(doc, dict(doc, **{key: other}))
+
+
+def test_other_seed_still_compares():
+    doc = _manifest()
+    assert compare_manifests(doc, dict(doc, seed=7)).regressions == []
+
+
 # ------------------------------------------------------- engine provenance
 
 def _engine_manifest(engine, stage_total=1.0, counters=None, cps=1.0e5):

@@ -94,6 +94,16 @@ def test_out_of_range_numeric_flag_is_a_usage_error(flags):
     assert exc.value.code == 2
 
 
+def test_unknown_experiment_id_runs_nothing(capsys):
+    # A typo in the last id must not cost the runs before it.
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "fig99", "--scale", "small"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'fig99'" in captured.err and "table1" in captured.err
+
+
 def _tiny_sim_experiment(scale="small", seed=0):
     """A seconds-fast cycle-level driver for CLI-path tests."""
     from repro import Jellyfish, PathCache
@@ -147,6 +157,52 @@ def test_runner_writes_timeseries_and_steady_report(tmp_path, capsys, monkeypatc
     assert "steady state:" in printed
     assert "1 undetermined" in printed
     assert "# timeseries:" in printed
+
+
+def test_capture_flags_follow_the_registry():
+    from repro.experiments.runner import CAPTURE_FLAGS
+    from repro.obs import layers
+
+    assert [row[0] for row in CAPTURE_FLAGS] == [
+        name for name in layers.LAYERS if name != "metrics"
+    ]
+
+
+CAPTURE_ARGS = [
+    "--trace-sample", "1", "--timeseries-window", "25",
+    "--linkstate", "50", "--flowstats",
+]
+
+
+def test_every_capture_flag_writes_its_artifact(tmp_path, capsys, monkeypatch):
+    from repro.experiments import runner
+    from repro.obs import layers
+
+    monkeypatch.setitem(runner.EXPERIMENTS, "tiny_sim", _tiny_sim_experiment)
+    out_dir = tmp_path / "tel"
+    assert main([
+        "tiny_sim", "table1", "--scale", "small",
+        "--telemetry-dir", str(out_dir), "--log-level", "info", *CAPTURE_ARGS,
+    ]) == 0
+
+    names = ("trace", "timeseries", "linkstate", "flowstats")
+    for name in names:
+        path = out_dir / layers.artifact_name("tiny_sim-small", name)
+        assert path.name == f"tiny_sim-small.{name}.npz"
+        load = getattr(layers.LAYERS[name], f"load_{name}")
+        assert load(path)["n_runs"] == 1
+        # table1 runs no simulation: nothing recorded, so no file.
+        assert not (out_dir / f"table1-small.{name}.npz").exists()
+
+    events = [
+        json.loads(line)["event"]
+        for line in (out_dir / "tiny_sim-small.events.jsonl").read_text().splitlines()
+    ]
+    written = [f"{name}_written" for name in names]
+    assert [e for e in events if e in written] == written
+    printed = capsys.readouterr().out
+    assert printed.count("# inspect it: python -m repro.experiments inspect") == 1
+    assert printed.count("# flow SLOs:  python -m repro.experiments flows") == 1
 
 
 def test_git_commit_cached_per_process(monkeypatch):
