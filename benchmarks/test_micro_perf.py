@@ -466,10 +466,11 @@ def test_perf_simulator_cycles_traced(benchmark):
 def test_perf_simulator_cycles_timeseries(benchmark):
     """The same workload with the windowed time-series recorder on.
 
-    Reports the cost of ``--timeseries-window 100`` (per-window flushes,
-    latency tracking, per-window link-flit tallies) next to the plain and
-    traced runs, so enabled-mode overhead is a number in every benchmark
-    comparison.
+    Reports the cost of ``--timeseries-window 100`` (per-window flushes of
+    the engine's per-link counters, latency tracking) next to the plain
+    and traced runs.  The CI perf-smoke job gates this row against the
+    plain ``test_perf_simulator_cycles`` run and fails when the
+    enabled-mode overhead exceeds 10%.
     """
     assert not timeseries.enabled()
     benchmark.extra_info["engines"] = ["fast"]
@@ -496,12 +497,12 @@ def test_perf_simulator_cycles_timeseries(benchmark):
 def test_perf_simulator_cycles_linkstate(benchmark):
     """The same workload with the dense link-state recorder on.
 
-    The congestion-forensics perf guard: ``--linkstate 100`` tallies
-    per-link forwarded flits and credit stalls every cycle and samples
-    peak VC occupancy at end of cycle, all into preallocated window
-    matrices.  The CI perf-smoke job gates this row against the plain
-    ``test_perf_simulator_cycles`` run and fails when the enabled-mode
-    overhead exceeds 10%.
+    The congestion-forensics perf guard: ``--linkstate 100`` samples peak
+    VC occupancy at end of cycle and flushes the engine's per-link
+    forwarded-flit and credit-stall counts per window, all into
+    preallocated window matrices.  The CI perf-smoke job gates this row
+    against the plain ``test_perf_simulator_cycles`` run and fails when
+    the enabled-mode overhead exceeds 10%.
     """
     assert not linkstate.enabled()
     benchmark.extra_info["engines"] = ["fast"]

@@ -39,11 +39,15 @@ the serial engines use.  Per-phase strategy:
 
 Everything a run *emits* is per-lane byte-identical to a serial
 fast-engine run: ``SimResult`` fields, path-cache hit/miss counts, final
-RNG states, metrics snapshots and time-series rows.  Telemetry is
-tallied per lane during the lock-step run and replayed per lane, in lane
-order, at publish time — reproducing the exact call sequence N serial
-runs would have made (``tests/test_batchcore_equivalence.py`` pins all
-of it).
+RNG states, metrics snapshots and time-series rows.  Like the serial
+engines, the batch counts each forward and credit stall once, in two
+union per-link counters; link utilisation, the metrics totals and the
+window rows (:class:`~repro.netsim.simulator.WindowRows`, over all lanes
+at once) are sums or differences of them.  Window rows are buffered per
+lane during the lock-step run and replayed per lane, in lane order, at
+publish time with the flow streams — reproducing the exact call sequence
+N serial runs would have made (``tests/test_batchcore_equivalence.py``
+pins all of it).
 
 Deliberate scope limits (each raises :class:`ConfigurationError` rather
 than silently diverging): no flight-recorder tracing, and only mechanisms
@@ -80,6 +84,7 @@ from repro.netsim.simulator import (
     SimResult,
     Simulator,
     UniformTraffic,
+    WindowRows,
     build_result,
     publish_run,
     register_run,
@@ -257,7 +262,10 @@ class BatchSimulator:
         self._inport_g = (np.arange(N * n_bufs, dtype=np.int64) % self._stride) // self.n_vcs
         self._rr = np.zeros(N * n_sw * self.n_ports, dtype=np.int64)
         self._occ = np.zeros(N * self._n_links, dtype=np.int64)
-        self._link_flits = np.zeros(N * self._n_sl, dtype=np.int64)
+        # The serial engines' two per-link counters over the lane-major
+        # link range (see repro.netsim.simulator's module docstring).
+        self._link_fwd = np.zeros(N * self._n_links, dtype=np.int64)
+        self._link_stall = np.zeros(N * self._n_links, dtype=np.int64)
         self._lane_starts = np.arange(N, dtype=np.int64) * n_bufs
 
         # Calendar queue shared across lanes (packets carry their lane).
@@ -362,8 +370,6 @@ class BatchSimulator:
         self._injected = np.zeros(N, dtype=np.int64)
         self._delivered = np.zeros(N, dtype=np.int64)
         self._lat_total = np.zeros(N, dtype=np.int64)
-        self._stalls = np.zeros(N, dtype=np.int64)
-        self._fwd = np.zeros(N, dtype=np.int64)
         self._n_sourced = np.zeros(N, dtype=np.int64)
         self._n_flying = np.zeros(N, dtype=np.int64)
         self._n_buffered = np.zeros(N, dtype=np.int64)
@@ -379,45 +385,31 @@ class BatchSimulator:
         self._mlat_val: List[int] = []
         self._end_cycle = config.total_cycles
 
-        # Windowed time-series: rows are buffered per lane during the
-        # lock-step run and replayed per lane at publish time, so the
+        # Time-series and link-state window rows: worked out from the
+        # lanes' counts by WindowRows, buffered per lane during the
+        # lock-step run and replayed per lane at publish time, so each
         # recorder sees the exact call sequence of N serial runs.
-        ts = obs_timeseries.active()
-        self._ts = ts
-        self._track_lat = ts is not None
-        self._win_start = 0
-        self._win_next = ts.window if ts is not None else 0
-        self._ts_rows: List[List[dict]] = [[] for _ in range(N)]
-        self._scheme = getattr(paths.selector, "name", "unknown")
-        if ts is not None:
-            self._ts_linkf = np.zeros(N * self._n_sl, dtype=np.int64)
-            self._wp_injected = np.zeros(N, dtype=np.int64)
-            self._wp_delivered = np.zeros(N, dtype=np.int64)
-            self._wp_lat = np.zeros(N, dtype=np.int64)
-            self._wp_stalls = np.zeros(N, dtype=np.int64)
-            self._wp_fwd = np.zeros(N, dtype=np.int64)
-        else:
-            self._ts_linkf = None
-
-        # Dense link-state capture: union tallies over the lane-major
-        # link range, rows buffered per lane and replayed at publish
-        # time like the time-series rows.  Peak is the end-of-cycle
-        # maximum (see Simulator.__init__) — order-independent, so the
+        # The link-state peak is the end-of-cycle maximum over the union
+        # occupancy (see Simulator.__init__) — order-independent, so the
         # vectorized grant pass needs no serial replay.
+        ts = obs_timeseries.active()
         lsr = obs_linkstate.active()
+        self._ts = ts
         self._ls = lsr
-        self._ls_start = 0
-        self._ls_next = lsr.window if lsr is not None else 0
+        self._track_lat = ts is not None
+        self._scheme = getattr(paths.selector, "name", "unknown")
+        self._windows = [
+            WindowRows(rec.window, rec is lsr, self._counts())
+            for rec in (ts, lsr) if rec is not None
+        ]
+        self._ts_rows: List[List[dict]] = [[] for _ in range(N)]
         self._ls_rows: List[List[dict]] = [[] for _ in range(N)]
+        self._ls_peak = (
+            np.zeros(N * self._n_links, dtype=np.int64)
+            if lsr is not None else None
+        )
         self._inj_lbase = topology.injection_link_base
         self._ej_lbase = topology.ejection_link_base
-        if lsr is not None:
-            nlk = self._n_links
-            self._ls_fwd = np.zeros(N * nlk, dtype=np.int64)
-            self._ls_stall = np.zeros(N * nlk, dtype=np.int64)
-            self._ls_peak = np.zeros(N * nlk, dtype=np.int64)
-        else:
-            self._ls_fwd = self._ls_stall = self._ls_peak = None
 
         # Per-(src,dst) flow capture: ejections tally their pair id next
         # to the measured-latency samples, split per lane and replayed
@@ -513,11 +505,10 @@ class BatchSimulator:
         self._req_nxt[bufs] = np.where(
             fwd, self._rf_nxt_np[base] + lane * self._n_bufs, -1
         )
-        # Ejection heads leave the link memo untouched (stale, unread) —
-        # exactly the serial engines' behaviour.
-        self._req_link[bufs] = np.where(
-            fwd, self._rf_link_np[base] + lane * self._n_links,
-            self._req_link[bufs],
+        # Ejection heads memo their ejection link, as the fast core's do.
+        self._req_link[bufs] = lane * self._n_links + np.where(
+            fwd, self._rf_link_np[base],
+            self._ej_lbase + self._pk_dst[pids],
         )
 
     def _process_arrivals(self, now: int) -> None:
@@ -703,11 +694,9 @@ class BatchSimulator:
             return None
         okm = self._free[loff + self._host_buf_np[nz]] > 0
         sel = nz[okm]
-        stalls = int(nz.size) - int(sel.size)
-        self._stalls[lane] += stalls
-        if self._ls_stall is not None and stalls:
+        if sel.size < nz.size:
             # Each stalled host appears once, so the fancy add is exact.
-            self._ls_stall[
+            self._link_stall[
                 lane * self._n_links + self._inj_lbase + nz[~okm]
             ] += 1
         launched = sel.size
@@ -967,9 +956,8 @@ class BatchSimulator:
         self._pk_lane[pids] = lanev
         self._pk_src[pids] = hosts
         self._free[idxs] -= 1
-        if self._ls_fwd is not None:
-            # (lane, host) pairs are unique this cycle: fancy add exact.
-            self._ls_fwd[locc + self._inj_lbase + hosts] += 1
+        # (lane, host) pairs are unique this cycle: fancy add exact.
+        self._link_fwd[locc + self._inj_lbase + hosts] += 1
         bucket.append(pids)
 
     def _lazy_pair_rec(self, lane: int, sw_s: int, sw_d: int) -> tuple:
@@ -1117,13 +1105,10 @@ class BatchSimulator:
                 dirty[w_slot[over]] = True
         if dirty is None:
             if keep is not None:
-                # The dropped heads are definite stalls, counted per lane
-                # exactly as the serial gathering pass would.
-                drops = act[~keep]
-                np.add.at(self._stalls, drops // self._n_bufs, 1)
-                if self._ls_stall is not None and drops.size:
-                    # Several heads can block on one wanted link.
-                    np.add.at(self._ls_stall, self._req_link[drops], 1)
+                # The dropped heads are definite stalls, counted exactly
+                # as the serial gathering pass would; several heads can
+                # block on one wanted link.
+                np.add.at(self._link_stall, self._req_link[act[~keep]], 1)
             if w_act.size:
                 self._grant_winners(now, act, slot, okey, nxt, c_idx, w)
             return
@@ -1143,10 +1128,9 @@ class BatchSimulator:
         if keep is not None:
             drop_clean = cmask & ~keep
             if drop_clean.any():
-                drops = act[drop_clean]
-                np.add.at(self._stalls, drops // self._n_bufs, 1)
-                if self._ls_stall is not None:
-                    np.add.at(self._ls_stall, self._req_link[drops], 1)
+                np.add.at(
+                    self._link_stall, self._req_link[act[drop_clean]], 1
+                )
         wkeep = ~dirty[w_slot]
         g_act = w_act[wkeep]
         if g_act.size:
@@ -1240,31 +1224,15 @@ class BatchSimulator:
             else:
                 np.subtract.at(self._occ, dec, 1)
         self._pk_dest[pid] = nxt
+        links = self._req_link[act]
+        # One grant per output port, so the granted links (ejection links
+        # included) are unique: fancy add exact.
+        self._link_fwd[links] += 1
         fm = nxt >= 0
-        ls_fwd = self._ls_fwd
-        if ls_fwd is not None:
-            em = ~fm
-            if em.any():
-                # One eject per (lane, host) output port: fancy add exact.
-                ls_fwd[
-                    lanes[em] * self._n_links + self._ej_lbase
-                    + self._pk_dst[pid[em]]
-                ] += 1
         if fm.any():
-            f_act = act[fm]
-            wl = self._req_link[f_act]
+            wl = links[fm]
             self._free[nxt[fm]] -= 1
             self._occ[wl] += 1
-            if ls_fwd is not None:
-                # One grant per output port, so winner links are unique.
-                ls_fwd[wl] += 1
-            fl = lanes[fm]
-            self._fwd += np.bincount(fl, minlength=N)
-            lidx = wl - fl * (self._n_links - self._n_sl)
-            if now >= self._measure_start:
-                self._link_flits[lidx] += 1
-            if self._ts_linkf is not None:
-                self._ts_linkf[lidx] += 1
             fpid = pid[fm]
             self._pk_link[fpid] = wl
             self._pk_hop[fpid] += 1
@@ -1300,23 +1268,19 @@ class BatchSimulator:
         rf_out, rf_nxt, rf_link = t.rf_out, t.rf_nxt, t.rf_link
         eject_of = self._eject_of
         occ = self._occ
-        link_flits = self._link_flits
-        ts_lf = self._ts_linkf
-        ls_fwd = self._ls_fwd
-        ls_stall = self._ls_stall
         ej_lb = self._ej_lbase
         stride = self._stride
         n_ports = self.n_ports
         n_sw = self._n_sw
         n_bufs = self._n_bufs
         n_links = self._n_links
-        lf_shift = self._n_links - self._n_sl
         speedup = self.config.input_speedup
-        measuring = now >= self._measure_start
         bucket = self._cal[(now + self._cl) % self._calP]
         N = self._n
-        stalls_l = [0] * N
-        fwd_l = [0] * N
+        # Links sent onto and stalled on this sweep, counted in bulk at
+        # the end (one grant per output port: sent links are unique).
+        sent: List[int] = []
+        stalled: List[int] = []
         grants_l = [0] * N
         act_l = act.tolist()
         ro_l = req_out[act].tolist()
@@ -1342,9 +1306,7 @@ class BatchSimulator:
                     if popped is not None and tgt >= base_buf and popped[tgt]:
                         credit -= 1
                     if credit <= 0:
-                        stalls_l[lane] += 1
-                        if ls_stall is not None:
-                            ls_stall[rl_l[j]] += 1
+                        stalled.append(rl_l[j])
                         j += 1
                         continue
                 op = ro_l[j]
@@ -1404,29 +1366,22 @@ class BatchSimulator:
                         req_nxt[winner] = rf_nxt[nb] + loff
                         req_link[winner] = rf_link[nb] + locc
                     else:
-                        req_out[winner] = eject_of[int(pk_dst[npid])]
+                        d = int(pk_dst[npid])
+                        req_out[winner] = eject_of[d]
                         req_nxt[winner] = -1
+                        req_link[winner] = locc + ej_lb + d
                 free[winner] += 1
                 grants_l[lane] += 1
                 il = int(pk_link[pid])
                 if il >= 0:
                     occ[il] -= 1
+                sent.append(wl)
                 if tgt < 0:
-                    if ls_fwd is not None:
-                        ls_fwd[locc + ej_lb + int(pk_dst[pid])] += 1
                     pk_dest[pid] = -1
                     bucket.append(pid)
                 else:
                     free[tgt] -= 1
                     occ[wl] += 1
-                    fwd_l[lane] += 1
-                    if ls_fwd is not None:
-                        ls_fwd[wl] += 1
-                    lidx = wl - lane * lf_shift
-                    if measuring:
-                        link_flits[lidx] += 1
-                    if ts_lf is not None:
-                        ts_lf[lidx] += 1
                     pk_link[pid] = wl
                     pk_hop[pid] += 1
                     pk_dest[pid] = tgt
@@ -1436,8 +1391,10 @@ class BatchSimulator:
                 for ip in gwin:
                     gin[ip] = 0
                 gwin.clear()
-        self._stalls += np.asarray(stalls_l, dtype=np.int64)
-        self._fwd += np.asarray(fwd_l, dtype=np.int64)
+        if sent:
+            self._link_fwd[sent] += 1
+        if stalled:
+            np.add.at(self._link_stall, stalled, 1)
         g = np.asarray(grants_l, dtype=np.int64)
         self._n_flying += g
         self._n_buffered -= g
@@ -1454,64 +1411,27 @@ class BatchSimulator:
         caps = self._n_bufs * self._cap
         return caps - np.add.reduceat(self._free, self._lane_starts)
 
-    def _flush_window(self, now: int) -> None:
-        """Buffer one time-series row per lane covering ``[_win_start, now)``."""
-        cycles = now - self._win_start
-        if cycles <= 0:
-            return
-        inj = self._injected - self._wp_injected
-        dlv = self._delivered - self._wp_delivered
-        lat = self._lat_total - self._wp_lat
-        stl = self._stalls - self._wp_stalls
-        fwd = self._fwd - self._wp_fwd
-        buf = self._buffered_per_lane()
-        n_sl = self._n_sl
-        for lane in range(self._n):
-            self._ts_rows[lane].append(
-                dict(
-                    start=self._win_start,
-                    cycles=cycles,
-                    injected=int(inj[lane]),
-                    ejected=int(dlv[lane]),
-                    lat_sum=int(lat[lane]),
-                    credit_stalls=int(stl[lane]),
-                    forwarded=int(fwd[lane]),
-                    occupancy=int(buf[lane]),
-                    link_flits=self._ts_linkf[
-                        lane * n_sl : (lane + 1) * n_sl
-                    ].copy(),
-                )
-            )
-        self._ts_linkf[:] = 0
-        self._wp_injected = self._injected.copy()
-        self._wp_delivered = self._delivered.copy()
-        self._wp_lat = self._lat_total.copy()
-        self._wp_stalls = self._stalls.copy()
-        self._wp_fwd = self._fwd.copy()
-        self._win_start = now
+    def _counts(self) -> tuple:
+        """Every lane's counts, in fresh arrays (see WindowRows)."""
+        shape = (self._n, self._n_links)
+        return (
+            self._injected.copy(), self._delivered.copy(),
+            self._lat_total.copy(), self._link_fwd.reshape(shape).copy(),
+            self._link_stall.reshape(shape).copy(),
+        )
 
-    def _flush_ls_window(self, now: int) -> None:
-        """Buffer one link-state row per lane covering ``[_ls_start, now)``."""
-        cycles = now - self._ls_start
-        if cycles <= 0:
-            return
-        nl = self._n_links
-        for lane in range(self._n):
-            s = lane * nl
-            self._ls_rows[lane].append(
-                dict(
-                    start=self._ls_start,
-                    cycles=cycles,
-                    forwarded=self._ls_fwd[s : s + nl].copy(),
-                    credit_stalls=self._ls_stall[s : s + nl].copy(),
-                    peak_occupancy=self._ls_peak[s : s + nl].copy(),
-                )
-            )
-        self._ls_fwd[:] = 0
-        self._ls_stall[:] = 0
-        # Peak carries over: the next window opens at current occupancy.
-        self._ls_peak[:] = self._occ
-        self._ls_start = now
+    def _flush(self, win: WindowRows, now: int) -> None:
+        """Buffer ``win``'s rows covering ``[win.start, now)``, one per lane."""
+        if win.linkstate:
+            bufs, extra = self._ls_rows, self._ls_peak
+        else:
+            bufs, extra = self._ts_rows, self._buffered_per_lane()
+        rows = win.rows(now, self._counts(), self._n_sl, extra)
+        for buf, row in zip(bufs, rows):
+            buf.append(row)
+        if rows and win.linkstate:
+            # Peak carries over: the next window opens at current occupancy.
+            self._ls_peak[:] = self._occ
 
     def run(
         self, publish: bool = True, observe: Optional[bool] = None
@@ -1532,6 +1452,9 @@ class BatchSimulator:
         t_wall = time.perf_counter()
         self._refresh_tables()
         self._advance(0, cfg.warmup_cycles)
+        n_sl = self._n_sl
+        sent = self._link_fwd.reshape(self._n, self._n_links)
+        warm = sent[:, :n_sl].copy()
         start = cfg.warmup_cycles
         for _ in range(cfg.n_samples):
             self._advance(start, start + cfg.sample_cycles)
@@ -1540,10 +1463,8 @@ class BatchSimulator:
                 buf = self._buffered_per_lane()
                 for lane in range(self._n):
                     self._occ_samples[lane].append(int(buf[lane]))
-        if self._ts is not None:
-            self._flush_window(start)  # the final, possibly partial window
-        if self._ls is not None:
-            self._flush_ls_window(start)
+        for w in self._windows:
+            self._flush(w, start)  # the final, possibly partial window
         wall = time.perf_counter() - t_wall
         # Aggregate lane-cycles per wall second (the batched tier's
         # throughput figure; manifests record it per engine).
@@ -1555,7 +1476,8 @@ class BatchSimulator:
         self._mlat_ml = np.asarray(self._mlat_lane, dtype=np.int64)
         self._mlat_vl = np.asarray(self._mlat_val, dtype=np.int64)
         self._mlat_pl = np.asarray(self._mlat_pair, dtype=np.int64)
-        n_sl = self._n_sl
+        # Link utilisation counts the flits sent after warmup.
+        link_flits = sent[:, :n_sl] - warm
         self.results = [
             build_result(
                 cfg, self._rates[lane], int(self._injected[lane]),
@@ -1563,8 +1485,7 @@ class BatchSimulator:
                 self._sample_sums[lane].tolist(),
                 self._sample_counts[lane].tolist(),
                 self._mlat_vl[self._mlat_ml == lane],
-                self._link_flits[lane * n_sl : (lane + 1) * n_sl],
-                len(self._hosts[lane]),
+                link_flits[lane], len(self._hosts[lane]),
             )
             for lane in range(self._n)
         ]
@@ -1572,8 +1493,9 @@ class BatchSimulator:
         # metrics before drain(), so deferred per-lane publishes must not
         # see drain-time growth of these totals.
         self._pub = (
-            np.stack([self._injected, self._delivered, self._fwd, self._stalls]),
-            self._link_flits.copy(),
+            np.stack([self._injected, self._delivered, self.flits_forwarded,
+                      self.credit_stalls]),
+            link_flits,
         )
         if publish:
             for lane in range(self._n):
@@ -1604,11 +1526,10 @@ class BatchSimulator:
                 reg.counter("core.cache.hit").inc(hits)
         result = self.results[lane]
         counts, link_flits = self._pub
-        n_sl = self._n_sl
         publish_run(
             reg, result, self.engine_name, self._scheme, self.cycles_per_sec,
             counts[:, lane].tolist(), self._occ_samples[lane],
-            link_flits[lane * n_sl : (lane + 1) * n_sl],
+            link_flits[lane],
         )
         # Only layers that were on during the run have rows to replay.
         ts = obs_timeseries.active() if self._ts is not None else None
@@ -1707,8 +1628,15 @@ class BatchSimulator:
         return self._delivered
 
     @property
+    def flits_forwarded(self) -> np.ndarray:
+        """Per lane: flits sent onto switch links since cycle 0."""
+        sent = self._link_fwd.reshape(self._n, self._n_links)
+        return sent[:, : self._n_sl].sum(axis=1)
+
+    @property
     def credit_stalls(self) -> np.ndarray:
-        return self._stalls
+        """Per lane: credit stalls since cycle 0."""
+        return self._link_stall.reshape(self._n, self._n_links).sum(axis=1)
 
     def check_conservation(self) -> None:
         """Raise if any lane lost or duplicated a packet."""

@@ -26,10 +26,14 @@ Python objects:
 
 The core reproduces the reference engine *exactly*: it draws the RNG in
 the same order (per-mechanism path choice included), emits trace /
-time-series records in the same order, and mirrors the path-cache
-hit/miss counters — the cross-engine equivalence suite pins
-byte-identical :class:`~repro.netsim.simulator.SimResult` samples and
-telemetry artifacts for all six mechanisms.
+time-series records in the same order, counts each forward and credit
+stall once in the reference engine's two per-link counters (a buffer's
+head-of-line memo carries the link a grant sends onto, ejection links
+included), and mirrors the path-cache hit/miss counters — the
+cross-engine equivalence suite pins byte-identical
+:class:`~repro.netsim.simulator.SimResult` samples and telemetry
+artifacts for all six mechanisms.  The per-buffer deques and arrival
+heap of the reference engine are never built here.
 """
 
 from __future__ import annotations
@@ -40,13 +44,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.cache import PathCache
-from repro.netsim.config import SimConfig
 from repro.netsim.network import NetworkWiring
-from repro.netsim.simulator import PatternTraffic, Simulator, UniformTraffic
+from repro.netsim.simulator import Simulator
 from repro.obs import metrics
 from repro.obs import trace as obs_trace
-from repro.topology.jellyfish import Jellyfish
-from repro.utils.rng import SeedLike
 
 __all__ = ["FastSimulator", "draw_batch"]
 
@@ -408,20 +409,11 @@ class FastSimulator(Simulator):
 
     engine_name = "fast"
 
-    def __init__(
-        self,
-        topology: Jellyfish,
-        paths: PathCache,
-        mechanism: str,
-        traffic: UniformTraffic | PatternTraffic,
-        injection_rate: float,
-        config: SimConfig = SimConfig(),
-        seed: SeedLike = 0,
-    ):
-        super().__init__(
-            topology, paths, mechanism, traffic, injection_rate, config, seed
-        )
-        n_bufs = topology.n_switches * self._stride_switch
+    def _init_core(self) -> None:
+        """Flat per-buffer, per-packet and route state of this core, in
+        place of the reference engine's queues and arrival heap."""
+        topology, config, paths = self.topology, self.config, self.paths
+        n_bufs = len(self.free)
         cap = config.vc_buffer
         self._cap = cap
         # Ring-buffer FIFOs: one flat slot array + head/length columns.
@@ -429,9 +421,10 @@ class FastSimulator(Simulator):
         self._fhead: List[int] = [0] * n_bufs
         self._flen: List[int] = [0] * n_bufs
         # Head-of-line request memo per buffer: the head packet's output
-        # port and downstream buffer (-1 for ejection), refreshed only
-        # when the head changes — allocation then reads two columns
-        # instead of re-deriving the request every cycle.
+        # port, downstream buffer (-1 for ejection) and the link a grant
+        # sends it onto (its ejection link last), refreshed only when the
+        # head changes — allocation then reads the columns instead of
+        # re-deriving the request every cycle.
         self._req_out: List[int] = [0] * n_bufs
         self._req_nxt: List[int] = [0] * n_bufs
         self._req_link: List[int] = [0] * n_bufs
@@ -487,10 +480,6 @@ class FastSimulator(Simulator):
         self._n_flying = 0
         self._n_buffered = 0
 
-        # Measured link-flit tallies as a plain list on the hot path
-        # (Simulator.run() converts when computing utilisation).
-        self._link_flits = [0] * topology.n_switch_links
-
         # Allocation scratch, reused across switches and cycles: per-port
         # candidate lists plus the insertion order of requested ports.
         self._port_cands: List[List[int]] = [[] for _ in range(self.n_ports)]
@@ -530,6 +519,7 @@ class FastSimulator(Simulator):
         r_off, r_hops = tables.r_off, tables.r_hops
         rf_out, rf_nxt, rf_link = tables.rf_out, tables.rf_nxt, tables.rf_link
         eject_of = self._eject_of
+        ej_base = self._ej_link_base
         stride = self._stride_switch
         n_vcs = self.n_vcs
         nonempty = self.nonempty
@@ -587,8 +577,10 @@ class FastSimulator(Simulator):
                         req_nxt[idx] = rf_nxt[base]
                         req_link[idx] = rf_link[base]
                     else:
-                        req_out[idx] = eject_of[pk_dst[pid]]
+                        d = pk_dst[pid]
+                        req_out[idx] = eject_of[d]
                         req_nxt[idx] = -1
+                        req_link[idx] = ej_base + d
                 if tr is not None and pk_tr[pid] >= 0:
                     rem = idx % stride
                     tr.event(
@@ -639,11 +631,8 @@ class FastSimulator(Simulator):
         paths = self.paths
         native = self._native
         ndraw, skip_k1, bnd_off = self._plan
-        ls_on = self._ls is not None
-        if ls_on:
-            ls_fwd = self._ls_fwd
-            ls_stall = self._ls_stall
-            inj_base = self._inj_link_base
+        inj_base = self._inj_link_base
+        link_fwd, link_stall = self._link_fwd, self._link_stall
         launchers = []
         lapp = launchers.append
         bounds: List[int] = []
@@ -654,11 +643,10 @@ class FastSimulator(Simulator):
             if not q:
                 continue
             if free[host_buf[h]] <= 0:
-                stalls += 1
-                if ls_on:
-                    ls_stall[inj_base + h] += 1
+                link_stall[inj_base + h] += 1
                 if tracing:
                     lapp((h, q, None))
+                    stalls += 1
                 continue
             if native:
                 sw = host_sw[h]
@@ -679,10 +667,9 @@ class FastSimulator(Simulator):
             else:
                 rec = ()  # vanilla UGAL: no record, no bounds
             lapp((h, q, rec))
-        self.credit_stalls += stalls
         if not launchers:
             return
-        launched = len(launchers) - stalls if tracing else len(launchers)
+        launched = len(launchers) - stalls
         # Each launch with a warm record mirrors the hit the reference's
         # per-launch ``paths.get`` counts; a cold one counted its own.
         hits = launched - cold if native else 0
@@ -773,8 +760,7 @@ class FastSimulator(Simulator):
                     switch=sw, port=host_inj[h], vc=0,
                 )
             free[idx] -= 1
-            if ls_on:
-                ls_fwd[inj_base + h] += 1
+            link_fwd[inj_base + h] += 1
             bucket.append(pid)
         self._n_flying += launched
         self._n_sourced -= launched
@@ -797,19 +783,10 @@ class FastSimulator(Simulator):
         r_off, r_hops = tables.r_off, tables.r_hops
         rf_out, rf_nxt, rf_link = tables.rf_out, tables.rf_nxt, tables.rf_link
         eject_of = self._eject_of
+        ej_base = self._ej_link_base
         occ = self._occ
-        link_flits = self._link_flits
-        ts_links = self._ts_link_flits if self._ts is not None else None
-        if self._ls is not None:
-            ls_fwd = self._ls_fwd
-            ls_stall = self._ls_stall
-            ej_base = self._ej_link_base
-        else:
-            ls_fwd = ls_stall = None
+        link_fwd, link_stall = self._link_fwd, self._link_stall
         tr = self._trace
-        measuring = now >= self._measure_start
-        stalls = 0
-        forwarded = 0
         granted_total = 0
         pbuf = self._port_cands
         touched = self._touched_ports
@@ -828,9 +805,7 @@ class FastSimulator(Simulator):
             for fi in (sorted(active) if len(active) > 1 else active):
                 nxt = req_nxt[fi]
                 if nxt >= 0 and free[nxt] <= 0:
-                    stalls += 1
-                    if ls_stall is not None:
-                        ls_stall[req_link[fi]] += 1
+                    link_stall[req_link[fi]] += 1
                     if tr is not None:
                         pid = fifo[fi * cap + fhead[fi]]
                         if pk_tr[pid] >= 0:
@@ -897,8 +872,10 @@ class FastSimulator(Simulator):
                         req_nxt[winner] = rf_nxt[nbase]
                         req_link[winner] = rf_link[nbase]
                     else:
-                        req_out[winner] = eject_of[pk_dst[npid]]
+                        d = pk_dst[npid]
+                        req_out[winner] = eject_of[d]
                         req_nxt[winner] = -1
+                        req_link[winner] = ej_base + d
                 else:
                     active.discard(winner)
                 free[winner] += 1
@@ -908,11 +885,10 @@ class FastSimulator(Simulator):
                 in_link = pk_link[pid]
                 if in_link >= 0:
                     occ[in_link] -= 1
+                link_fwd[wlink] += 1
 
                 if tgt < 0:
                     # Ejection to the destination host.
-                    if ls_fwd is not None:
-                        ls_fwd[ej_base + pk_dst[pid]] += 1
                     if tr is not None and pk_tr[pid] >= 0:
                         tr.event(
                             pk_tr[pid], self._trace_run,
@@ -924,13 +900,6 @@ class FastSimulator(Simulator):
                 else:
                     free[tgt] -= 1
                     occ[wlink] += 1
-                    forwarded += 1
-                    if measuring:
-                        link_flits[wlink] += 1
-                    if ts_links is not None:
-                        ts_links[wlink] += 1
-                    if ls_fwd is not None:
-                        ls_fwd[wlink] += 1
                     if tr is not None and pk_tr[pid] >= 0:
                         tr.event(
                             pk_tr[pid], self._trace_run,
@@ -946,8 +915,6 @@ class FastSimulator(Simulator):
                 for ip in gwin:
                     gin[ip] = 0
                 gwin.clear()
-        self.credit_stalls += stalls
-        self.flits_forwarded += forwarded
         self._n_flying += granted_total
         self._n_buffered -= granted_total
 

@@ -22,6 +22,15 @@ Router model (single-flit packets):
   host injection/ejection links;
 - hosts have unbounded source queues (latency counts from source-queue
   entry, so saturated runs show the expected latency blow-up).
+
+Per-link counts: every engine keeps two cumulative counters per link
+(switch links, then injection, then ejection links), counted from cycle
+0 whatever recorders are on — flits sent onto the link and credit stalls
+waiting for it.  Each forward and each stall bumps one of them once.
+Link utilisation is their switch-link slice at the end of the run minus
+at the end of warmup; the ``flits_forwarded`` / ``credit_stalls`` totals
+are their sums; time-series and link-state windows are differences
+between two flushes, worked out for one lane or N by :class:`WindowRows`.
 """
 
 from __future__ import annotations
@@ -154,10 +163,11 @@ class SimResult:
 
 
 # ------------------------------------------------------------ run record
-# Every engine keeps a run's record through the three functions below, so
-# the record cannot differ between engines.  The serial engines register
-# at construction and build and publish the result at the end of run();
-# the batched engine runs all three for each lane.
+# Every engine keeps a run's record through the three functions and the
+# window rows below, so the record cannot differ between engines.  The
+# serial engines register at construction, record window rows live and
+# build and publish the result at the end of run(); the batched engine
+# buffers each lane's rows and runs the three functions for each lane.
 
 
 def register_run(topology, config, scheme, mechanism, rate, ts, ls, fs):
@@ -260,6 +270,64 @@ def publish_run(reg, result: SimResult, engine, scheme, cycles_per_sec, counts,
     )
 
 
+class WindowRows:
+    """One capture layer's window rows, for one lane or for N.
+
+    A window's row is the difference of the run's counts between two
+    flushes: packets injected and delivered, their latency total (kept
+    under the time series only) and the two per-link counters.  ``next``
+    is the cycle the open window closes at; the shared cycle loop chunks
+    itself there.
+    """
+
+    __slots__ = ("linkstate", "window", "start", "next", "_last")
+
+    def __init__(self, window: int, linkstate: bool, counts: tuple):
+        self.linkstate = linkstate
+        self.window = window
+        self.start = 0
+        self.next = window
+        self._last = counts
+
+    def rows(self, now: int, counts: tuple, n_sl: int, extra) -> List[dict]:
+        """The ``record_window`` rows covering ``[start, now)``, one per lane.
+
+        ``counts`` are the run's counts now, in fresh arrays: injected,
+        delivered and latency total, each shaped ``(lanes,)``, then the
+        flits sent and the credit stalls per link, each ``(lanes,
+        n_links)`` with the ``n_sl`` switch links first.  ``extra`` is the
+        buffer occupancy per lane (time series) or the running peak
+        occupancy per link of every lane (link state).  An empty window
+        gives no rows and leaves the window open.
+        """
+        cycles = now - self.start
+        if cycles <= 0:
+            return []
+        inj, dlv, lat, fwd, stl = (c - p for c, p in zip(counts, self._last))
+        start = self.start
+        self._last = counts
+        self.start = now
+        lanes = range(len(fwd))
+        if self.linkstate:
+            # A copy: the engine resets the running peak in place next.
+            peak = np.array(extra, dtype=np.int64).reshape(fwd.shape)
+            return [
+                dict(start=start, cycles=cycles, forwarded=fwd[i],
+                     credit_stalls=stl[i], peak_occupancy=peak[i])
+                for i in lanes
+            ]
+        links = fwd[:, :n_sl].copy()
+        sent = links.sum(axis=1)
+        stalls = stl.sum(axis=1)
+        return [
+            dict(start=start, cycles=cycles, injected=int(inj[i]),
+                 ejected=int(dlv[i]), lat_sum=int(lat[i]),
+                 credit_stalls=int(stalls[i]), forwarded=int(sent[i]),
+                 occupancy=int(extra[i]), link_flits=links[i])
+            for i in lanes
+        ]
+
+
 class Simulator:
     """One flit-level run.
 
@@ -355,7 +423,6 @@ class Simulator:
         self._stride_port = self.n_vcs
         self._stride_switch = self.n_ports * self.n_vcs
         n_bufs = n_sw * self._stride_switch
-        self.in_q: List[deque] = [deque() for _ in range(n_bufs)]
         self.free: List[int] = [config.vc_buffer] * n_bufs
         self.nonempty: List[set] = [set() for _ in range(n_sw)]
         self.rr_ptr: List[int] = [0] * (n_sw * self.n_ports)
@@ -367,12 +434,6 @@ class Simulator:
             dtype=np.int64,
         )
 
-        self._arrivals: list = []  # heap of (time, seq, flat_idx|-1, packet)
-        self._seq = 0
-        # Route-port tuples are pure functions of (path nodes, dst host);
-        # memoise them so source launch never re-walks port maps.
-        self._route_cache: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
-
         # statistics
         self.injected = 0
         self.delivered = 0
@@ -380,14 +441,13 @@ class Simulator:
         self._sample_sums = [0.0] * config.n_samples
         self._sample_counts = [0] * config.n_samples
         self._latencies: List[int] = []
-        # Flits launched onto each switch link during the measurement
-        # window (link-utilisation statistics).
-        self._link_flits = np.zeros(topology.n_switch_links, dtype=np.int64)
-        # Telemetry tallies (plain ints on the hot path; published to the
-        # metrics registry once per run, so disabled-mode overhead is a
-        # couple of integer adds per cycle).
-        self.flits_forwarded = 0
-        self.credit_stalls = 0
+        # The run's two per-link counters (see the module docstring):
+        # flits sent onto each link and credit stalls waiting for it.
+        self._n_sl = topology.n_switch_links
+        self._inj_link_base = topology.injection_link_base
+        self._ej_link_base = topology.ejection_link_base
+        self._link_fwd: List[int] = [0] * topology.n_links
+        self._link_stall: List[int] = [0] * topology.n_links
         self._occupancy_samples: List[int] = []
 
         # Capture recorders (each off by default; the active recorders are
@@ -420,48 +480,42 @@ class Simulator:
             for s, d in traffic.switch_pairs(topology):
                 paths.path_index_map(s, d)
 
-        # Windowed time series.  Cumulative ejection latency is tracked
-        # only for the recorder's per-window means (off by default).
+        # Window rows of the time series and the link state.  Cumulative
+        # ejection latency is tracked only for the time series' per-window
+        # means (off by default).
         self._track_lat = self._ts is not None
         self._lat_total = 0
-        self._win_start = 0
-        self._win_next = 0
         self._end_cycle = config.total_cycles
-        if self._ts is not None:
-            self._ts_link_flits = np.zeros(
-                topology.n_switch_links, dtype=np.int64
-            )
-            self._win_next = self._ts.window
-            # Counter values at the last window flush (delta markers).
-            self._wp_injected = 0
-            self._wp_delivered = 0
-            self._wp_lat = 0
-            self._wp_stalls = 0
-            self._wp_fwd = 0
-
-        # Dense per-window link state.  Tallies are plain lists on the hot
-        # path — one indexed add per forward/stall — copied out at window
-        # edges.
-        self._ls_start = 0
-        self._ls_next = 0
-        self._inj_link_base = topology.injection_link_base
-        self._ej_link_base = topology.ejection_link_base
-        if self._ls is not None:
-            nl = topology.n_links
-            self._ls_fwd = [0] * nl
-            self._ls_stall = [0] * nl
-            # Peak is an end-of-cycle maximum (updated once per cycle in
-            # _advance), not a grant-time one: per-grant occupancy reads
-            # depend on within-cycle switch order, which the batched
-            # engine's vectorized grant pass cannot replay.
-            self._ls_peak = np.zeros(nl, dtype=np.int64)
-            self._ls_next = self._ls.window
+        self._windows = [
+            WindowRows(rec.window, rec is self._ls, self._counts())
+            for rec in (self._ts, self._ls) if rec is not None
+        ]
+        # Link-state peak occupancy is an end-of-cycle maximum (updated
+        # once per cycle in _advance), not a grant-time one: per-grant
+        # occupancy reads depend on within-cycle switch order, which the
+        # batched engine's vectorized grant pass cannot replay.
+        self._ls_peak = (
+            np.zeros(topology.n_links, dtype=np.int64)
+            if self._ls is not None else None
+        )
 
         # Per-(src,dst) flows.  The hot path only appends the ejected
         # packet's pair id next to its latency; the per-pair tally happens
         # once at the end of run() from the two aligned lists.
         self._fs_nh = topology.n_hosts
         self._fs_pairs: List[int] = []
+        self._init_core()
+
+    def _init_core(self) -> None:
+        """Per-buffer packet queues and the arrival heap of this engine
+        (the fast core builds its ring buffers and calendar queue
+        instead)."""
+        self.in_q: List[deque] = [deque() for _ in range(len(self.free))]
+        self._arrivals: list = []  # heap of (time, seq, flat_idx|-1, packet)
+        self._seq = 0
+        # Route-port tuples are pure functions of (path nodes, dst host);
+        # memoise them so source launch never re-walks port maps.
+        self._route_cache: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
 
     # ----------------------------------------------------------- plumbing
     def _buf_idx(self, switch: int, port: int, vc: int) -> int:
@@ -548,9 +602,7 @@ class Simulator:
         wiring = self.wiring
         tr = self._trace
         tracing = tr is not None
-        ls_on = self._ls is not None
         inj_base = self._inj_link_base
-        stalls = 0
         for h, q in self.source_q.items():
             if not q:
                 continue
@@ -558,9 +610,7 @@ class Simulator:
             inj_port = wiring.injection_port(h)
             idx = self._buf_idx(sw, inj_port, 0)
             if self.free[idx] <= 0:
-                stalls += 1
-                if ls_on:
-                    self._ls_stall[inj_base + h] += 1
+                self._link_stall[inj_base + h] += 1
                 if tracing and q[0][-1] >= 0:
                     tr.event(
                         q[0][-1], self._trace_run, obs_trace.EV_CREDIT_STALL,
@@ -588,10 +638,8 @@ class Simulator:
                     switch=sw, port=inj_port, vc=0,
                 )
             self.free[idx] -= 1
-            if ls_on:
-                self._ls_fwd[inj_base + h] += 1
+            self._link_fwd[inj_base + h] += 1
             self._push_arrival(now + cfg.channel_latency, idx, packet)
-        self.credit_stalls += stalls
 
     def _allocate(self, now: int) -> None:
         cfg = self.config
@@ -600,13 +648,9 @@ class Simulator:
         eject_base = wiring.n_switch_ports
         tr = self._trace
         tracing = tr is not None
-        ts_links = self._ts_link_flits if self._ts is not None else None
-        ls_on = self._ls is not None
-        if ls_on:
-            ls_fwd = self._ls_fwd
-            ls_stall = self._ls_stall
-        stalls = 0
-        forwarded = 0
+        link_fwd = self._link_fwd
+        link_stall = self._link_stall
+        ej_base = self._ej_link_base
         for switch in range(self.topology.n_switches):
             active = self.nonempty[switch]
             if not active:
@@ -626,9 +670,7 @@ class Simulator:
                         nxt, wiring.peer_port[switch][out_port], packet.hop + 1
                     )
                     if self.free[nxt_idx] <= 0:
-                        stalls += 1
-                        if ls_on:
-                            ls_stall[wiring.link_of[switch][out_port]] += 1
+                        link_stall[wiring.link_of[switch][out_port]] += 1
                         if tracing and packet.trace_id >= 0:
                             tr.event(
                                 packet.trace_id, self._trace_run,
@@ -671,8 +713,7 @@ class Simulator:
                     packet.in_link = -1
 
                 if out_port >= eject_base:
-                    if ls_on:
-                        ls_fwd[self._ej_link_base + packet.dst] += 1
+                    link_fwd[ej_base + packet.dst] += 1
                     if tracing and packet.trace_id >= 0:
                         tr.event(
                             packet.trace_id, self._trace_run,
@@ -688,13 +729,7 @@ class Simulator:
                     link = wiring.link_of[switch][out_port]
                     self.free[nxt_idx] -= 1
                     self.occupancy[link] += 1
-                    forwarded += 1
-                    if now >= self._measure_start:
-                        self._link_flits[link] += 1
-                    if ts_links is not None:
-                        ts_links[link] += 1
-                    if ls_on:
-                        ls_fwd[link] += 1
+                    link_fwd[link] += 1
                     if tracing and packet.trace_id >= 0:
                         tr.event(
                             packet.trace_id, self._trace_run,
@@ -704,8 +739,6 @@ class Simulator:
                     packet.in_link = link
                     packet.hop += 1
                     self._push_arrival(now + cfg.channel_latency, nxt_idx, packet)
-        self.credit_stalls += stalls
-        self.flits_forwarded += forwarded
 
     # ---------------------------------------------------------------- run
     def _advance(self, start: int, stop: int) -> None:
@@ -718,90 +751,58 @@ class Simulator:
         cannot change a run's results.  The batched engine steps its
         lanes through this same loop.
         """
-        if self._ts is None and self._ls is None:
+        wins = self._windows
+        if not wins:
             for now in range(start, stop):
                 self._process_arrivals(now)
                 self._inject(now)
                 self._launch_from_sources(now)
                 self._allocate(now)
             return
+        peak = self._ls_peak
         cur = start
-        ls_on = self._ls is not None
-        if ls_on:
-            ls_peak = self._ls_peak
         while cur < stop:
-            nxt = stop
-            if self._ts is not None:
-                nxt = min(nxt, self._win_next)
-            if ls_on:
-                nxt = min(nxt, self._ls_next)
+            nxt = min(stop, *[w.next for w in wins])
             for now in range(cur, nxt):
                 self._process_arrivals(now)
                 self._inject(now)
                 self._launch_from_sources(now)
                 self._allocate(now)
-                if ls_on:
+                if peak is not None:
                     # End-of-cycle peak (see __init__): one vector max
                     # per cycle over the live occupancy.
-                    np.maximum(ls_peak, self._occupancy_view(), out=ls_peak)
+                    np.maximum(peak, self._occupancy_view(), out=peak)
             cur = nxt
-            if self._ts is not None and cur == self._win_next:
-                self._flush_window(cur)
-                self._win_next += self._ts.window
-            if self._ls is not None and cur == self._ls_next:
-                self._flush_ls_window(cur)
-                self._ls_next += self._ls.window
+            for w in wins:
+                if cur == w.next:
+                    self._flush(w, cur)
+                    w.next += w.window
 
-    def _flush_window(self, now: int) -> None:
-        """Record one time-series row covering ``[_win_start, now)``."""
-        cycles = now - self._win_start
-        if cycles <= 0:
-            return
-        ts = self._ts
-        ts.record_window(
-            self._ts_run,
-            start=self._win_start,
-            cycles=cycles,
-            injected=self.injected - self._wp_injected,
-            ejected=self.delivered - self._wp_delivered,
-            lat_sum=self._lat_total - self._wp_lat,
-            credit_stalls=self.credit_stalls - self._wp_stalls,
-            forwarded=self.flits_forwarded - self._wp_fwd,
-            occupancy=self.buffered_flits(),
-            link_flits=self._ts_link_flits,
+    def _counts(self) -> tuple:
+        """The run's counts as one lane, in fresh arrays (see WindowRows)."""
+        return (
+            np.array([self.injected]), np.array([self.delivered]),
+            np.array([self._lat_total]), np.array([self._link_fwd]),
+            np.array([self._link_stall]),
         )
-        self._ts_link_flits[:] = 0
-        self._wp_injected = self.injected
-        self._wp_delivered = self.delivered
-        self._wp_lat = self._lat_total
-        self._wp_stalls = self.credit_stalls
-        self._wp_fwd = self.flits_forwarded
-        self._win_start = now
+
+    def _flush(self, win: WindowRows, now: int) -> None:
+        """Record ``win``'s row covering ``[win.start, now)``."""
+        if win.linkstate:
+            rec, run, extra = self._ls, self._ls_run, self._ls_peak
+        else:
+            rec, run, extra = self._ts, self._ts_run, [self.buffered_flits()]
+        rows = win.rows(now, self._counts(), self._n_sl, extra)
+        for row in rows:
+            rec.record_window(run, **row)
+        if rows and win.linkstate:
+            # Peak carries over: the next window opens at the occupancy the
+            # last one closed at.  In place — _advance holds a reference.
+            self._ls_peak[:] = self._occupancy_view()
 
     def _occupancy_view(self):
         """Live per-link occupancy array (the fast core overrides this)."""
         return self.occupancy
-
-    def _flush_ls_window(self, now: int) -> None:
-        """Record one dense link-state row covering ``[_ls_start, now)``."""
-        cycles = now - self._ls_start
-        if cycles <= 0:
-            return
-        self._ls.record_window(
-            self._ls_run,
-            start=self._ls_start,
-            cycles=cycles,
-            forwarded=self._ls_fwd,
-            credit_stalls=self._ls_stall,
-            peak_occupancy=self._ls_peak,
-        )
-        nl = len(self._ls_fwd)
-        self._ls_fwd = [0] * nl
-        self._ls_stall = [0] * nl
-        # Peak carries over: the next window opens at the occupancy the
-        # last one closed at.  In place — _advance holds a reference.
-        self._ls_peak[:] = self._occupancy_view()
-        self._ls_start = now
 
     def run(self) -> SimResult:
         """Simulate warmup + measurement and return the run statistics.
@@ -809,26 +810,27 @@ class Simulator:
         The cycle loop is chunked at sample boundaries (identical cycle
         sequence either way) so VC-occupancy sampling costs nothing per
         cycle: when telemetry is enabled the buffer occupancy is read once
-        per sample window, never inside the hot loop.
+        per sample window, never inside the hot loop.  Link utilisation
+        counts the flits sent onto each switch link after warmup.
         """
         cfg = self.config
         observe = metrics.enabled()
         t_wall = time.perf_counter()
         self._advance(0, cfg.warmup_cycles)
+        warm = self._link_fwd[: self._n_sl]
         start = cfg.warmup_cycles
         for _ in range(cfg.n_samples):
             self._advance(start, start + cfg.sample_cycles)
             start += cfg.sample_cycles
             if observe:
                 self._occupancy_samples.append(self.buffered_flits())
-        if self._ts is not None:
-            self._flush_window(start)  # the final, possibly partial window
-        if self._ls is not None:
-            self._flush_ls_window(start)  # the final, possibly partial window
+        for w in self._windows:
+            self._flush(w, start)  # the final, possibly partial window
+        link_flits = np.subtract(self._link_fwd[: self._n_sl], warm)
         result = build_result(
             cfg, self.rate, self.injected, self.delivered,
             self._sample_sums, self._sample_counts,
-            self._latencies, self._link_flits, len(self.active_hosts),
+            self._latencies, link_flits, len(self.active_hosts),
         )
         # Wall-clock cycle throughput of this run (never part of the
         # deterministic result; recorded per engine for cross-engine
@@ -842,7 +844,7 @@ class Simulator:
             self.cycles_per_sec,
             (self.injected, self.delivered, self.flits_forwarded,
              self.credit_stalls),
-            self._occupancy_samples, self._link_flits,
+            self._occupancy_samples, link_flits,
         )
         return result
 
@@ -871,6 +873,16 @@ class Simulator:
         return cfg.drain_max_cycles
 
     # --------------------------------------------------------- telemetry
+    @property
+    def flits_forwarded(self) -> int:
+        """Flits sent onto switch links since cycle 0."""
+        return sum(self._link_fwd[: self._n_sl])
+
+    @property
+    def credit_stalls(self) -> int:
+        """Credit stalls since cycle 0 (injection and switch links)."""
+        return sum(self._link_stall)
+
     def buffered_flits(self) -> int:
         """Flits currently occupying (input port, VC) buffer slots."""
         return len(self.free) * self.config.vc_buffer - sum(self.free)

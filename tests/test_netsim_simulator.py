@@ -223,6 +223,18 @@ class TestSimulatorMechanics:
                 expect[pkt.in_link] += 1
         assert np.array_equal(sim.occupancy, expect)
 
+    def test_fast_engine_builds_no_reference_queues(self, topo, paths):
+        # The per-buffer deques, arrival heap and route memo are the
+        # reference engine's; the fast core keeps ring buffers and a
+        # calendar queue instead (86,400 unused deques on RRG(720,24,19)).
+        sim = Simulator(
+            topo, paths, "random", UniformTraffic(topo.n_hosts), 0.5, FAST, seed=1
+        )
+        assert sim.engine_name == "fast"
+        for name in ("in_q", "_arrivals", "_route_cache"):
+            assert not hasattr(sim, name)
+        assert sim.run().delivered > 0
+
     def test_pattern_nonsenders_never_inject(self, topo, paths):
         pat = Pattern("one", topo.n_hosts, ((0, topo.n_hosts - 1),))
         sim = Simulator(topo, paths, "sp", PatternTraffic(pat), 0.5, FAST, seed=1)

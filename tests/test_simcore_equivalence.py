@@ -16,6 +16,10 @@ pre-warmed path caches, both adaptive latency estimates, and traced runs
 its flight-recorder events, credit stalls inside a saturated network
 included).
 
+``TestRunRecordPinned`` pins each engine's whole run record to fixed
+digests, and ``TestLinkTallyConsumers`` checks on all three engines that
+every reader of a run's per-link counters sees the same counts.
+
 The ring-buffer edge tests at the bottom are the fast core's own unit
 coverage: FIFO wraparound under full occupancy, credit exhaustion at
 capacity 1, and drain-budget exhaustion.
@@ -24,6 +28,7 @@ capacity 1, and drain-budget exhaustion.
 import dataclasses
 import hashlib
 import json
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -286,12 +291,17 @@ class TestRunRecordPinned:
     timers and wall-clock cycles/sec gauges, and every recorder snapshot
     (its ``runs`` metadata in key order).  The saved ``.npz`` bytes are
     not hashed, because their compression depends on the zlib build.
+    The ``traced`` case adds the flight recorder, every packet sampled,
+    in a saturated network, so the stall and depart events of the serial
+    engines are pinned too (the trace suite above only compares the two
+    serial engines with each other).
     """
 
     DIGESTS = {
         "reference": "f81ea135ad0100e49d3ab919a0b0c525726fe961e957a00a9c337ea53e89a60d",
         "fast": "0ea9f049d173155764c635774e9e0d85df088abcc8b423391d96b0621d1cce8d",
         "batched": "8db4eded72dbd79be6fce0bd45680a7ae0b1276937f4f5c7e7715f915b432bd8",
+        "traced": "1b414fc1e856f6b84324fddae18efe33cd1b2d659fa49fedd06af6dbdfa90726",
     }
 
     @staticmethod
@@ -309,19 +319,91 @@ class TestRunRecordPinned:
             sim = Simulator(topo, paths, "round_robin", perm, 0.9, cfg,
                             seed=11)
             return [sim.run()]
+        if case == "traced":
+            cfg = SimConfig(**CYCLES, vc_buffer=SATURATED["vc_buffer"])
+            sim = Simulator(topo, paths, "ksp_adaptive",
+                            UniformTraffic(topo.n_hosts), SATURATED["rate"],
+                            cfg, seed=11)
+            return [sim.run()]
         lanes = [BatchLane("ksp_adaptive", perm, 0.4, seed=11),
                  BatchLane("ksp_ugal", perm, 0.9, seed=12)]
         return BatchSimulator(topo, paths, lanes, SimConfig(**CYCLES)).run()
 
     @pytest.mark.parametrize("case", sorted(DIGESTS))
     def test_run_record_digest(self, case):
+        traced = case == "traced"
         with metrics.capture() as reg, timeseries.capture(window=25) as ts, \
-                linkstate.capture(window=25) as ls, flowstats.capture() as fs:
+                linkstate.capture(window=25) as ls, flowstats.capture() as fs, \
+                trace.capture(sample=1) if traced else nullcontext() as tr:
             results = self._run(case)
         recorders = [("timeseries", ts), ("linkstate", ls), ("flowstats", fs)]
+        if traced:
+            recorders.append(("trace", tr))
+            # Not vacuous: traced flits stalled for credit in the network.
+            snap = tr.snapshot()
+            stalled = snap["ev_kind"] == trace.EV_CREDIT_STALL
+            assert (snap["ev_vc"][stalled] > 0).any()
         assert all(len(rec.runs) == len(results) for _, rec in recorders)
         assert _run_record_digest(results, reg, recorders) == \
             self.DIGESTS[case]
+
+
+class TestLinkTallyConsumers:
+    """Every reader of a run's per-link counts sees the same counts.
+
+    Each engine counts, per link, the flits sent onto it and the credit
+    stalls waiting for it.  The metrics totals and link-flit array, the
+    time-series and link-state windows and the ``SimResult`` link
+    utilisation are all sums or differences of those two counters, so on
+    every engine they must agree with each other.
+    """
+
+    #: Divides ``warmup_cycles`` and ``sample_cycles``: no window
+    #: straddles the end of warmup.
+    WINDOW = 20
+
+    @staticmethod
+    def _run(engine):
+        topo = _topo()
+        paths = PathCache(topo, "redksp", k=4, seed=1)
+        runs = [("ksp_adaptive", _traffic("perm", topo.n_hosts), 0.9, 11),
+                ("ksp_ugal", _traffic("uniform", topo.n_hosts), 0.5, 12)]
+        if engine == "batched":
+            cfg = SimConfig(**CYCLES, vc_buffer=SATURATED["vc_buffer"])
+            lanes = [BatchLane(m, t, r, seed=s) for m, t, r, s in runs]
+            return topo, BatchSimulator(topo, paths, lanes, cfg).run()
+        cfg = SimConfig(**CYCLES, vc_buffer=SATURATED["vc_buffer"],
+                        engine=engine)
+        return topo, [Simulator(topo, paths, m, t, r, cfg, seed=s).run()
+                      for m, t, r, s in runs]
+
+    @pytest.mark.parametrize("engine", ["reference", "fast", "batched"])
+    def test_consumers_agree(self, engine):
+        with metrics.capture() as reg, \
+                timeseries.capture(window=self.WINDOW) as ts, \
+                linkstate.capture(window=self.WINDOW) as ls:
+            topo, results = self._run(engine)
+        cfg = results[0].config
+        n_sl = topo.n_switch_links
+        snap = reg.snapshot()
+        counters = snap["counters"]
+        [link_flits] = [v for k, v in snap["arrays"].items()
+                        if k.startswith("netsim.link_flits/")]
+        tsn, lsn = ts.snapshot(), ls.snapshot()
+        fwd, stl = lsn["ls_forwarded"], lsn["ls_credit_stalls"]
+        # Not vacuous: the small buffers stall flits inside the network.
+        assert stl[:, :n_sl].sum() > 0
+        assert tsn["win_credit_stalls"].sum() == stl.sum() == \
+            counters["netsim.credit_stalls"]
+        assert tsn["win_forwarded"].sum() == fwd[:, :n_sl].sum() == \
+            counters["netsim.flits_forwarded"]
+        measured = lsn["ls_start"] >= cfg.warmup_cycles
+        assert fwd[measured, :n_sl].sum(axis=0).tolist() == link_flits
+        for run, result in enumerate(results):
+            rows = measured & (lsn["ls_run"] == run)
+            util = fwd[rows, :n_sl].sum(axis=0) / cfg.measure_cycles
+            assert result.max_link_utilisation == util.max()
+            assert result.mean_link_utilisation == util.mean()
 
 
 class TestRingBufferEdges:
